@@ -2,8 +2,8 @@
 
 Verbs: validate, simulate-ibm, solve-pde, flow, study-large-k, study-dirac,
 study-flow, study-uniqueness, report.  Exit codes: 0 success, 1 usage error,
-2 numerical failure (CFL violation, blow-up), 3 failed check in study or
-validate mode.
+2 numerical failure (CFL violation, blow-up, failed BL program), 3 failed
+check in study or validate mode.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 from . import ibm, io, pde, studies
 from .config import (ConfigError, build_initial, build_model, grid_box,
                      load_config, probe_spec, sim_params, solver_params)
-from .flow import (FlowError, FrozenCoefficients, compose_inverse_forward,
-                   inverse_flow)
+from .flow import FlowError, compose_inverse_forward, inverse_flow
 from .ibm import SimulationError
 from .initial import project_to_grid
+from .metrics import BLError
 from .model import validate as validate_model
 from .pde import CFLError
 
@@ -136,19 +136,9 @@ def _cmd_flow(args) -> int:
     lo, hi, shape = grid_box(cfg)
     u0 = project_to_grid(init, lo, hi, shape)
     fcfg = cfg.get("flow") or {}
-    t = float(fcfg.get("t", cfg["pde"]["t_end"]))
-    dt = float(fcfg.get("dt", 1e-3))
     n_paths = int(fcfg.get("n_paths", 100))
     i = int(fcfg.get("species", 0))
-
-    sp = solver_params(cfg)
-    t = round(t / sp.dt) * sp.dt
-    sp.t_end = t
-    snaps = np.round(np.linspace(0.0, t, max(2, int(np.ceil(t / (10 * dt))) + 1))
-                     / sp.dt) * sp.dt
-    sp.snapshot_times = tuple(sorted(set(float(v) for v in snaps)))
-    sol = pde.solve(model, u0, sp)
-    coeffs = FrozenCoefficients.from_pde(model, sol)
+    t, dt, sol, coeffs = studies.frozen_flow(cfg, model, u0)
 
     probes = fcfg.get("probes")
     if probes is None:
@@ -240,7 +230,8 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CFLError, FlowError, SimulationError, FloatingPointError) as e:
+    except (BLError, CFLError, FlowError, SimulationError,
+            FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -25,7 +25,7 @@ tabulated compositions with convolved fields, not closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

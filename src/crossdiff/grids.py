@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class GridField:
         h = self.spacing
         # fractional index relative to cell centers
         f = (x - self.lo[None, :]) / h[None, :] - 0.5
-        out = None
         v = self.values[i]
         idx0 = np.floor(f).astype(int)
         w = f - idx0

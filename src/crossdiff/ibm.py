@@ -14,7 +14,7 @@ splitting bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,11 +205,10 @@ def step_demography(state: PopulationState, model: CoefficientModel,
 def _demography_counts(before: PopulationState, after: PopulationState,
                        births, deaths):
     for i in range(before.n_species):
-        prev = set(before.species[i].ids.tolist())
         cur = after.species[i].ids
         n_new = int(np.sum(cur >= before.next_id[i]))
         births[i] += n_new
-        deaths[i] += len(prev) - (cur.shape[0] - n_new)
+        deaths[i] += before.species[i].ids.shape[0] - (cur.shape[0] - n_new)
 
 
 # ---------------------------------------------------------------------
@@ -273,7 +272,6 @@ def _simulate_thinned(model, state, params):
         snap_iter.pop(0)
     event_counter = 0
     t = 0.0
-    measures = None
     while True:
         lam_total, per_particle = _total_rate_bound(model, state)
         g = rngs.stream(params.seed, event_counter, rngs.EVENT)

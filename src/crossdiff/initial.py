@@ -6,7 +6,7 @@ both be sampled (for particles) and evaluated on a grid (for fields).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

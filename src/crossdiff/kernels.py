@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import fft, integrate
 
 from .grids import GridField
 
@@ -307,5 +307,10 @@ def convolve_field_grid(k: KernelSpec, u: GridField, species: int,
     mesh = np.meshgrid(*offs, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     kk = k.evaluate_batch(pts).reshape([2 * n - 1 for n in u.shape])
-    conv = signal.fftconvolve(u.values[species], kk, mode="same")
+    # full linear convolution has length 3n - 2 per axis; its central n
+    # entries (offset n - 1) are the values at the cell centers
+    fshape = [fft.next_fast_len(3 * n - 2, real=True) for n in u.shape]
+    spec = fft.rfftn(u.values[species], fshape) * fft.rfftn(kk, fshape)
+    conv = fft.irfftn(spec, fshape)[tuple(slice(n - 1, 2 * n - 1)
+                                          for n in u.shape)]
     return np.maximum(conv * u.cell_volume, 0.0)

@@ -11,8 +11,8 @@ a Lipschitz cap `a` and a sup cap `b` (a + b <= 1) as explicit variables:
 Any feasible phi extends to all of R^d with the same Lipschitz constant
 (McShane) and sup (clipping), so on the support the LP is exact when the
 pair set is complete.  In d = 1 adjacent pairs of the sorted support are
-complete; in higher dimension the dense pair set is exact and kNN + random
-pairs with a violation-repair loop approximate it at scale.
+complete.  In higher dimension the LP starts from kNN + random pairs and
+adds violated pairs (cutting planes) until an exhaustive scan finds none.
 """
 
 from __future__ import annotations
@@ -27,8 +27,12 @@ from scipy.spatial import cKDTree
 from .grids import GridField
 from .kernels import EmpiricalMeasure
 
-DENSE_LIMIT = 2000          # dense pair set retained up to this support size
 EXACT_LP_LIMIT = 50_000
+CUT_ROUNDS = 30
+
+
+class BLError(RuntimeError):
+    """The BL linear program failed or its cutting planes did not settle."""
 
 
 @dataclass
@@ -66,9 +70,7 @@ class DiscreteMeasure:
 @dataclass
 class BLResult:
     value: float
-    method: str
     certificate: dict = field(default_factory=dict)
-    gap: float | None = None
 
 
 def total_mass(mu: DiscreteMeasure) -> float:
@@ -105,24 +107,19 @@ def _signed_union(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return uniq, eta
 
 
-def _pair_set(points: np.ndarray, rng=None, k_neighbors: int = 8,
-              n_random: int | None = None):
+def _pair_set(points: np.ndarray, rng):
+    """Initial constraint pairs: complete in d = 1, 8-NN + random above."""
     n, d = points.shape
     if n < 2:
         return np.zeros((0, 2), dtype=int)
     if d == 1:
         order = np.argsort(points[:, 0], kind="stable")
         return np.stack([order[:-1], order[1:]], axis=1)
-    if n <= DENSE_LIMIT:
-        ii, jj = np.triu_indices(n, k=1)
-        return np.stack([ii, jj], axis=1)
     tree = cKDTree(points)
-    _, nbr = tree.query(points, k=min(k_neighbors + 1, n))
+    _, nbr = tree.query(points, k=min(9, n))
     ii = np.repeat(np.arange(n), nbr.shape[1] - 1)
     jj = nbr[:, 1:].ravel()
-    rng = rng or np.random.default_rng(0)
-    m = n_random if n_random is not None else 4 * n
-    rnd = rng.integers(0, n, size=(m, 2))
+    rnd = rng.integers(0, n, size=(4 * n, 2))
     pairs = np.vstack([np.stack([ii, jj], axis=1), rnd])
     pairs = np.sort(pairs, axis=1)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
@@ -165,161 +162,64 @@ def _solve_lp(points, eta, pairs):
     bounds = [(None, None)] * n + [(0.0, 1.0), (0.0, 1.0)]
     res = linprog(c, A_ub=A, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
-        raise RuntimeError(f"BL linear program failed: {res.message}")
+        raise BLError(f"BL linear program failed: {res.message}")
     phi = res.x[:n]
     return float(eta @ phi), phi, float(res.x[n]), float(res.x[n + 1])
-
-
-def _lip_and_sup(points, phi, pairs):
-    d = _pair_dists(points, pairs)
-    ok = d > 1e-14
-    lip = float(np.max(np.abs(phi[pairs[ok, 0]] - phi[pairs[ok, 1]]) / d[ok])) \
-        if np.any(ok) else 0.0
-    return lip, float(np.max(np.abs(phi))) if phi.size else 0.0
 
 
 def _exact_lp(points, eta, rng) -> BLResult:
     n = points.shape[0]
     if n > EXACT_LP_LIMIT:
         raise ValueError(f"support size {n} exceeds exact-lp limit")
-    pairs = _pair_set(points, rng=rng)
-    sparsified = points.shape[1] > 1 and n > DENSE_LIMIT
+    pairs = _pair_set(points, rng)
     value, phi, a, b = _solve_lp(points, eta, pairs)
-    if sparsified:
-        # cutting planes: add violated pair constraints until none remain
-        for _ in range(30):
-            viol_pairs = _violated_pairs(points, phi, a, n, rng)
-            if viol_pairs.shape[0] == 0:
-                break
-            pairs = np.unique(np.vstack([pairs, viol_pairs[:4 * n]]), axis=0)
+    if points.shape[1] > 1:
+        # cutting planes: add violated pair constraints until the exhaustive
+        # scan finds none (the sorted 1-d pair set is already complete)
+        rounds = 0
+        while (viol := _violated_pairs(points, phi, a)).shape[0]:
+            if rounds == CUT_ROUNDS:
+                raise BLError(f"BL constraints still violated after "
+                              f"{CUT_ROUNDS} cutting-plane rounds")
+            rounds += 1
+            pairs = np.unique(np.vstack([pairs, viol[:4 * n]]), axis=0)
             value, phi, a, b = _solve_lp(points, eta, pairs)
-        else:
-            if n <= DENSE_LIMIT:
-                pairs = _pair_set(points)
-                value, phi, a, b = _solve_lp(points, eta, pairs)
-            else:
-                raise RuntimeError("sparsified BL program failed to repair")
     cert = {"points": points, "phi": phi, "lip_budget": a, "sup_budget": b}
-    return BLResult(max(value, 0.0), "exact-lp", cert, gap=0.0)
+    return BLResult(max(value, 0.0), cert)
 
 
-def _violated_pairs(points, phi, a, n, rng, exhaustive_limit: int = 6000):
-    """Pairs whose Lipschitz constraint the current phi violates.
-
-    Exhaustive chunked scan when n^2 is affordable, sampled otherwise.
-    """
-    tol = 1e-9
-    if n <= exhaustive_limit:
-        out = []
-        chunk = max(1, 20_000_000 // max(n, 1))
-        for start in range(0, n, chunk):
-            stop = min(n, start + chunk)
-            diff = points[start:stop, None, :] - points[None, :, :]
-            dd = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            gap = np.abs(phi[start:stop, None] - phi[None, :]) - a * dd
-            ii, jj = np.nonzero(gap > tol)
-            keep = start + ii < jj
-            out.append(np.stack([start + ii[keep], jj[keep]], axis=1))
-        return np.vstack(out) if out else np.zeros((0, 2), dtype=int)
-    cand = rng.integers(0, n, size=(min(20 * n, 2_000_000), 2))
-    cand = cand[cand[:, 0] != cand[:, 1]]
-    dd = _pair_dists(points, cand)
-    viol = np.abs(phi[cand[:, 0]] - phi[cand[:, 1]]) > a * dd + tol
-    return np.sort(cand[viol], axis=1)
-
-
-def _subgradient(points, eta, rng, n_iter: int = 800) -> BLResult:
+def _violated_pairs(points, phi, a):
+    """All pairs whose Lipschitz constraint the current phi violates,
+    found by an exhaustive chunked scan."""
     n = points.shape[0]
-    pairs = _pair_set(points, rng=rng)
-    dists = _pair_dists(points, pairs)
-    ok = dists > 1e-14
-    pairs, dists = pairs[ok], dists[ok]
-
-    # ascend the scale-invariant ratio (eta . v) / (Lip(v) + sup|v|): the
-    # optimal radial rescaling of any direction v attains exactly that
-    # ratio, so the program reduces to maximizing it.  The two max terms
-    # are smoothed by softmax weights so the ascent does not stall on the
-    # kinks; the reported value always uses the unsmoothed budget.
-    v = eta / (float(np.max(np.abs(eta))) or 1.0)
-    best, best_phi = 0.0, np.zeros(n)
-    m1 = np.zeros(n)
-    m2 = np.zeros(n)
-    lr = 0.05
-    for it in range(n_iter):
-        diffs = v[pairs[:, 0]] - v[pairs[:, 1]]
-        quot = np.abs(diffs) / dists
-        lip = float(np.max(quot)) if quot.size else 0.0
-        av = np.abs(v)
-        sup = float(np.max(av))
-        budget = lip + sup
-        if budget <= 0:
-            break
-        val = float(eta @ v)
-        if val / budget > best:
-            best, best_phi = val / budget, v / budget
-        T = max(1e-8, 0.05 * max(lip, sup))
-        glip = np.zeros(n)
-        if quot.size:
-            wq = np.exp((quot - lip) / T)
-            wq /= wq.sum()
-            s = wq * np.sign(diffs) / dists
-            np.add.at(glip, pairs[:, 0], s)
-            np.add.at(glip, pairs[:, 1], -s)
-        ws = np.exp((av - sup) / T)
-        ws /= ws.sum()
-        grad = eta / budget - (val / budget ** 2) * (glip + ws * np.sign(v))
-        m1 = 0.9 * m1 + 0.1 * grad
-        m2 = 0.999 * m2 + 0.001 * grad ** 2
-        v = v + lr * m1 / (np.sqrt(m2) + 1e-12)
-    cert = {"points": points, "phi": best_phi}
-    return BLResult(max(best, 0.0), "subgradient", cert)
-
-
-def _dictionary(points, eta) -> BLResult:
-    """Lower bound from a fixed library of bump/affine-clamped functions."""
-    n = points.shape[0]
-    vals = [abs(float(eta.sum()))]        # phi == 1
-    best_phi = np.ones(n) * np.sign(eta.sum() if eta.sum() != 0 else 1.0)
-    spread = float(np.max(points) - np.min(points)) or 1.0
-    centers = points[:: max(1, n // 64)]
-    for w in (0.125, 0.25, 0.5, 1.0, 2.0):
-        width = w * spread
-        scale = 1.0 / (1.0 + 1.0 / width)
-        for c in centers:
-            r = np.sqrt(np.sum((points - c[None, :]) ** 2, axis=1))
-            phi = np.maximum(0.0, 1.0 - r / width) * scale
-            v = float(eta @ phi)
-            if abs(v) > vals[0] or abs(v) > max(vals):
-                best_phi = phi * np.sign(v)
-            vals.append(abs(v))
-    return BLResult(max(vals), "dictionary-lower-bound",
-                    {"points": points, "phi": best_phi})
+    out = []
+    chunk = max(1, 2_000_000 // n)
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        diff = points[start:stop, None, :] - points[None, :, :]
+        dd = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        gap = np.abs(phi[start:stop, None] - phi[None, :]) - a * dd
+        ii, jj = np.nonzero(gap > 1e-9)
+        keep = start + ii < jj
+        out.append(np.stack([start + ii[keep], jj[keep]], axis=1))
+    return np.vstack(out)
 
 
 def bl_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                method: str = "exact-lp", seed: int = 0) -> BLResult:
+                seed: int = 0) -> BLResult:
     """Bounded-Lipschitz dual-norm distance ||mu - nu||_LB*."""
     points, eta = _signed_union(mu, nu)
     if points.shape[0] == 0 or not np.any(np.abs(eta) > 0):
-        return BLResult(0.0, method)
-    rng = np.random.default_rng(seed)
-    if method == "exact-lp":
-        return _exact_lp(points, eta, rng)
-    if method == "subgradient":
-        return _subgradient(points, eta, rng)
-    if method == "dictionary-lower-bound":
-        return _dictionary(points, eta)
-    raise ValueError(f"unknown method {method!r}")
+        return BLResult(0.0)
+    return _exact_lp(points, eta, np.random.default_rng(seed))
 
 
-def bl_distance_fields(u: GridField, w: GridField,
-                       method: str = "exact-lp", seed: int = 0) -> float:
+def bl_distance_fields(u: GridField, w: GridField, seed: int = 0) -> float:
     """Sum over species of BL distances between two grid solutions."""
     if u.n_species != w.n_species:
         raise ValueError("species counts differ")
     return sum(bl_distance(DiscreteMeasure.from_grid(u, i),
-                           DiscreteMeasure.from_grid(w, i),
-                           method=method, seed=seed).value
+                           DiscreteMeasure.from_grid(w, i), seed=seed).value
                for i in range(u.n_species))
 
 

@@ -15,7 +15,7 @@ padded so boundary mass stays negligible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

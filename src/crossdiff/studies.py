@@ -64,10 +64,6 @@ def _cache_store(out_dir: str, key: str, obj):
     io.write_text(_cache_path(out_dir, key), json.dumps(obj, sort_keys=True))
 
 
-def _cfg_hash(cfg: dict) -> str:
-    return _cache_key(cfg)
-
-
 def _sub_seed(seed: int, *key: int) -> int:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(k) for k in key))
@@ -97,7 +93,7 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     sol = pde.solve(model, u0, sp)
     grid_measures = {t: [DiscreteMeasure.from_grid(sol.at_time(t), i)
                          for i in range(model.M)] for t in sp.snapshot_times}
-    h = _cfg_hash(cfg)
+    h = _cache_key(cfg)
 
     def one(K, rep):
         key = _cache_key("large-k", h, seed, K, rep)
@@ -177,7 +173,7 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     init = build_initial(cfg)
     lo, hi, shape = grid_box(cfg)
     u0 = project_to_grid(init, lo, hi, shape)
-    h = _cfg_hash(cfg)
+    h = _cache_key(cfg)
 
     model_loc = build_model(cfg)
     sol_loc = pde.solve(model_loc, u0, solver_params(cfg, mode="local"))
@@ -219,6 +215,25 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
 # ---------------------------------------------------------------------
 # flow / Feynman-Kac consistency
 
+def frozen_flow(cfg: dict, model, u0):
+    """PDE solve behind the frozen flow of the `flow` and `study-flow` verbs.
+
+    The horizon flow.t lands on the PDE step grid, and snapshots are taken
+    every 10 flow steps flow.dt.  Returns (t, dt, solution, coefficients).
+    """
+    fcfg = cfg.get("flow") or {}
+    t = float(fcfg.get("t", cfg["pde"]["t_end"]))
+    dt = float(fcfg.get("dt", 1e-3))
+    sp = solver_params(cfg)
+    t = round(t / sp.dt) * sp.dt
+    sp.t_end = t
+    n_snap = max(2, int(math.ceil(t / (10.0 * dt))) + 1)
+    extra = np.round(np.linspace(0.0, t, n_snap) / sp.dt) * sp.dt
+    sp.snapshot_times = tuple(sorted(set([float(v) for v in extra] + [t])))
+    sol = pde.solve(model, u0, sp)
+    return t, dt, sol, FrozenCoefficients.from_pde(model, sol)
+
+
 def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                resume: bool = False) -> StudyReport:
     """Density and functional estimates from the flow against the PDE."""
@@ -227,20 +242,9 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     init = build_initial(cfg)
     lo, hi, shape = grid_box(cfg)
     u0 = project_to_grid(init, lo, hi, shape)
-
-    t = float(fcfg.get("t", cfg["pde"]["t_end"]))
-    dt = float(fcfg.get("dt", 1e-3))
     n_paths = int(fcfg.get("n_paths", 200))
     i = int(fcfg.get("species", 0))
-
-    sp = solver_params(cfg)
-    t = round(t / sp.dt) * sp.dt          # land t on the pde step grid
-    sp.t_end = t
-    n_snap = max(2, int(math.ceil(t / (10.0 * dt))) + 1)
-    extra = np.round(np.linspace(0.0, t, n_snap) / sp.dt) * sp.dt
-    sp.snapshot_times = tuple(sorted(set([float(v) for v in extra] + [t])))
-    sol = pde.solve(model, u0, sp)
-    coeffs = FrozenCoefficients.from_pde(model, sol)
+    t, dt, sol, coeffs = frozen_flow(cfg, model, u0)
     u_t = sol.at_time(t)
 
     probes = fcfg.get("probes")
@@ -258,8 +262,8 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                                       s.mass * s.density(X) for s in [init[i]]))
     pde_vals = u_t.interpolate(i, y)
     h_grid = float(np.max(u_t.spacing))
-    budget = float(np.max(np.abs(pde_vals))) * (h_grid ** 2 + sp.dt) \
-        + h_grid ** 2 + dt
+    budget = (float(np.max(np.abs(pde_vals))) * (h_grid ** 2 + sol.params.dt)
+              + h_grid ** 2 + dt)
     ok_pts = np.abs(vals - pde_vals) <= 3.0 * errs + budget
 
     fk = feynman_kac_functional(coeffs, model, lambda X: np.ones(X.shape[0]),

@@ -219,6 +219,23 @@ def test_cli_cfl_violation_is_numerical_failure(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
 
 
+def test_cli_bl_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    from crossdiff import metrics
+
+    def fail(*args):
+        raise metrics.BLError("BL linear program failed: stub")
+
+    monkeypatch.setattr(metrics, "_solve_lp", fail)
+    cfg = base_cfg()
+    cfg["model"]["dim"] = 2
+    cfg["pde"].update({"lo": -3.0, "hi": 3.0, "cells": 8})
+    cfg["uniqueness"] = {"deltas": [0.2]}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["study-uniqueness", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
+    assert "BL linear program failed" in capsys.readouterr().err
+
+
 def test_cli_solve_pde_outputs_and_determinism(tmp_path, capsys):
     path = write_cfg(tmp_path, base_cfg())
     outs = []

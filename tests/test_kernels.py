@@ -137,6 +137,22 @@ def test_convolve_field_grid_matches_direct_2d():
                                rtol=1e-8, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(64,), (128,), (12, 12), (64, 64)])
+def test_convolve_field_grid_bit_equal_to_fftconvolve(shape):
+    from scipy import signal
+    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+    d = len(shape)
+    u = GridField(-np.ones(d), np.ones(d), rng.random((1, *shape)), 0.0)
+    k = KernelSpec("gaussian", d, bandwidth=0.3)
+    offs = [np.arange(-(n - 1), n) * h for n, h in zip(shape, u.spacing)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*offs, indexing="ij")],
+                   axis=-1)
+    kk = k.evaluate_batch(pts).reshape([2 * n - 1 for n in shape])
+    ref = signal.fftconvolve(u.values[0], kk, mode="same") * u.cell_volume
+    assert np.array_equal(convolve_field_grid(k, u, 0),
+                          np.maximum(ref, 0.0))
+
+
 def test_mollifier_identity_at_eps_one():
     g = KernelSpec("gaussian", 1, bandwidth=1.0)
     m = mollifier(g, 1.0)

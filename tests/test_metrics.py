@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossdiff.metrics as M
 from crossdiff.grids import GridField
 from crossdiff.kernels import EmpiricalMeasure
 from crossdiff.metrics import (DiscreteMeasure, bl_distance, moments,
@@ -72,39 +74,50 @@ def test_tv_upper_bound_disjoint_supports():
     assert bl_distance(mu, nu).value <= tv + 1e-9
 
 
-def test_dictionary_lower_bounds_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        mu = dm(rng.normal(size=(12, 1)), rng.uniform(0, 1, 12))
-        nu = dm(rng.normal(size=(9, 1)), rng.uniform(0, 1, 9))
-        lo = bl_distance(mu, nu, method="dictionary-lower-bound").value
-        hi = bl_distance(mu, nu, method="exact-lp").value
-        assert lo <= hi + 1e-9
+def dense_oracle(mu, nu):
+    # the LP over every pair of the union support is exact in any dimension
+    points, eta = M._signed_union(mu, nu)
+    ii, jj = np.triu_indices(points.shape[0], k=1)
+    return M._solve_lp(points, eta, np.stack([ii, jj], axis=1))[0]
 
 
-def test_subgradient_close_to_exact():
-    rng = np.random.default_rng(4)
-    mu = dm(rng.normal(size=(20, 1)), rng.uniform(0, 1, 20))
-    nu = dm(rng.normal(size=(20, 1)), rng.uniform(0, 1, 20))
-    ex = bl_distance(mu, nu, method="exact-lp").value
-    sg = bl_distance(mu, nu, method="subgradient").value
-    assert sg <= ex + 1e-9
-    # heuristic ascent: a usable lower bound, not the exact optimum
-    assert sg >= 0.5 * ex
-
-
-def test_sparsified_matches_dense_oracle_2d(monkeypatch):
-    # force the kNN + cutting-plane path at a size where the dense LP is
-    # still affordable as the oracle
-    import crossdiff.metrics as M
+def test_cutting_planes_match_dense_oracle_2d():
     rng = np.random.default_rng(5)
     n = 300   # union 600 points
     mu = dm(rng.normal(size=(n, 2)), rng.uniform(0, 1, n) / n)
     nu = dm(rng.normal(size=(n, 2)) + 0.2, rng.uniform(0, 1, n) / n)
-    dense = bl_distance(mu, nu).value
-    monkeypatch.setattr(M, "DENSE_LIMIT", 100)
-    sparse = bl_distance(mu, nu).value
-    assert sparse == pytest.approx(dense, rel=1e-6, abs=1e-9)
+    assert bl_distance(mu, nu).value == pytest.approx(
+        dense_oracle(mu, nu), rel=1e-6, abs=1e-9)
+
+
+def test_grid_fields_match_dense_oracle_2d():
+    # a 12 x 12 field against the same field shifted by 0.2 along axis 0
+    lo, hi = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+    xs = (np.arange(12) + 0.5) / 12 * 4.0 - 2.0
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    u = GridField(lo, hi, np.exp(-(X ** 2 + Y ** 2))[None], 0.0)
+    w = GridField(lo, hi, np.exp(-((X - 0.2) ** 2 + Y ** 2))[None], 0.0)
+    mu, nu = DiscreteMeasure.from_grid(u, 0), DiscreteMeasure.from_grid(w, 0)
+    assert bl_distance(mu, nu).value == pytest.approx(
+        dense_oracle(mu, nu), rel=1e-6, abs=1e-9)
+
+
+def test_lp_failure_raises_bl_error(monkeypatch):
+    res = SimpleNamespace(success=False, message="stub")
+    monkeypatch.setattr(M, "linprog", lambda *a, **k: res)
+    mu = dm([[0.0, 0.0]], [1.0])
+    nu = dm([[1.0, 0.0]], [0.5])
+    with pytest.raises(M.BLError):
+        bl_distance(mu, nu)
+
+
+def test_unsettled_cutting_planes_raise_bl_error(monkeypatch):
+    monkeypatch.setattr(M, "_violated_pairs",
+                        lambda points, phi, a: np.array([[0, 1]]))
+    mu = dm([[0.0, 0.0]], [1.0])
+    nu = dm([[1.0, 0.0]], [0.5])
+    with pytest.raises(M.BLError, match="30 cutting-plane rounds"):
+        bl_distance(mu, nu)
 
 
 def test_from_grid_and_from_empirical():
