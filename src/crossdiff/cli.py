@@ -3,7 +3,11 @@
 Verbs: validate, simulate-ibm, solve-pde, flow, study-large-k, study-dirac,
 study-flow, study-uniqueness, report.  Exit codes: 0 success, 1 usage error,
 2 numerical failure (CFL violation, blow-up, failed BL program), 3 failed
-check in study or validate mode.
+check: validate, a study verdict, the flow determinant gap, or a solve-pde
+manifest with passed false (mass bound or boundary leak).
+
+The output directory is --out, else outputs.directory of the config, else
+"out".
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(v)
         q.add_argument("--config", required=(v != "report"),
                        help="experiment config (YAML)")
-        q.add_argument("--out", default="out", help="output directory")
+        q.add_argument("--out", default=None,
+                       help="output directory (default: outputs.directory "
+                            "of the config, else out)")
         q.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         q.add_argument("--workers", type=int, default=1)
@@ -55,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
-    out = args.out or (cfg.get("outputs") or {}).get("directory", "out")
+    out = args.out or (cfg.get("outputs") or {}).get("directory") or "out"
     os.makedirs(out, exist_ok=True)
     return cfg, seed, out
 
@@ -103,6 +109,7 @@ def _cmd_solve_pde(args) -> int:
     u0 = project_to_grid(init, lo, hi, shape)
     sol = pde.solve(model, u0, solver_params(cfg))
     bound = pde.mass_bound_check(sol, model)
+    passed = bound.passed and not sol.leak_flag
     files = []
     for snap in sol.snapshots:
         tag = f"{snap.time:.6g}".replace(".", "p")
@@ -120,12 +127,14 @@ def _cmd_solve_pde(args) -> int:
                                    sol.max_boundary_fraction,
                                "leak_flag": sol.leak_flag,
                                "mass_bound_ok": bound.passed},
-                      passed=bound.passed and not sol.leak_flag, files=files)
+                      passed=passed, files=files)
     for t, masses in zip(sol.times, sol.masses):
         print(f"t={t:g} masses={np.round(masses, 6).tolist()}")
     if sol.leak_flag:
         print("warning: boundary mass fraction exceeded the leak budget")
-    return EXIT_OK
+    if not bound.passed:
+        print("warning: a snapshot mass exceeds its growth bound")
+    return EXIT_OK if passed else EXIT_CHECK
 
 
 def _cmd_flow(args) -> int:

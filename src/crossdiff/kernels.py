@@ -2,8 +2,14 @@
 
 Kernels are immutable after construction and every operation here is pure,
 so they are safe to share across threads.  Convolutions against empirical
-measures are exact O(N) sums per query point; grid convolutions have a
-direct quadrature path and an FFT fast path that must agree to 1e-8.
+measures are exact O(N) sums per query point.  Against a grid field,
+convolve_field is the midpoint-rule quadrature at arbitrary points, and
+convolve_field_grid gives the same quadrature at every cell centre (shifted
+by an optional sub-cell offset) through one FFT engine: the sampled kernel
+table's spectrum is cached per kernel, grid shape, spacing and offset in a
+bounded, thread-safe LRU cache, so the PDE step and the flow coefficient
+tables build each spectrum once.  Its "direct" method is the oracle, and the
+two agree to 1e-8.
 """
 
 from __future__ import annotations
@@ -285,32 +291,56 @@ def convolve_field(k: KernelSpec, u: GridField, species: int, x,
     return float(out[0]) if single else out
 
 
+@lru_cache(maxsize=64)
+def _kernel_spectrum(k: KernelSpec, shape: tuple, spacing: tuple,
+                     offset: tuple) -> np.ndarray:
+    """rfftn of the kernel sampled at the cell-centre offsets of a grid.
+
+    Keyed by kernel identity (KernelSpec compares by identity), grid shape,
+    spacing and sub-cell offset, so a PDE step reuses the spectra of the
+    previous step.  The returned array is read-only and shared.
+    """
+    offs = [np.arange(-(n - 1), n) * h + o
+            for n, h, o in zip(shape, spacing, offset)]
+    mesh = np.meshgrid(*offs, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    kk = k.evaluate_batch(pts).reshape([2 * n - 1 for n in shape])
+    spec = fft.rfftn(kk, _fft_shape(shape))
+    spec.flags.writeable = False
+    return spec
+
+
+def _fft_shape(shape: tuple) -> list:
+    # full linear convolution has length 3n - 2 per axis
+    return [fft.next_fast_len(3 * n - 2, real=True) for n in shape]
+
+
 def convolve_field_grid(k: KernelSpec, u: GridField, species: int,
-                        method: str = "fft") -> np.ndarray:
+                        method: str = "fft", offset=None) -> np.ndarray:
     """Whole-grid convolution, same quadrature as convolve_field.
 
-    method "fft" is the zero-padded discrete-Fourier fast path; "direct"
-    is the O(n^2) oracle retained for tests.
+    Values are taken at the cell centres shifted by offset (a d-vector,
+    zero by default).  method "fft" is the zero-padded discrete-Fourier
+    fast path with cached kernel spectra; "direct" is the O(n^2) oracle
+    retained for tests.
     """
     if k.dim != u.dim:
         raise ValueError("kernel and field dimensions differ")
     if k.family == "constant":
         return np.full(u.shape, k.amplitude * u.mass(species))
+    offset = np.zeros(u.dim) if offset is None else \
+        np.asarray(offset, dtype=float).reshape(u.dim)
     if method == "direct":
-        centers = u.centers()
+        centers = u.centers() + offset
         return convolve_field(k, u, species, centers).reshape(u.shape)
     if method != "fft":
         raise ValueError("method must be 'fft' or 'direct'")
-    h = u.spacing
-    offs = [np.arange(-(n - 1), n) * h[axis]
-            for axis, n in enumerate(u.shape)]
-    mesh = np.meshgrid(*offs, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    kk = k.evaluate_batch(pts).reshape([2 * n - 1 for n in u.shape])
-    # full linear convolution has length 3n - 2 per axis; its central n
-    # entries (offset n - 1) are the values at the cell centers
-    fshape = [fft.next_fast_len(3 * n - 2, real=True) for n in u.shape]
-    spec = fft.rfftn(u.values[species], fshape) * fft.rfftn(kk, fshape)
+    shape = u.shape
+    kspec = _kernel_spectrum(k, shape, tuple(float(h) for h in u.spacing),
+                             tuple(float(o) for o in offset))
+    fshape = _fft_shape(shape)
+    spec = fft.rfftn(u.values[species], fshape) * kspec
+    # the central n entries (offset n - 1) are the values at the cell centres
     conv = fft.irfftn(spec, fshape)[tuple(slice(n - 1, 2 * n - 1)
-                                          for n in u.shape)]
+                                          for n in shape)]
     return np.maximum(conv * u.cell_volume, 0.0)

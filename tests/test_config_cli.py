@@ -254,6 +254,38 @@ def test_cli_solve_pde_outputs_and_determinism(tmp_path, capsys):
     assert man["passed"] is True
 
 
+def test_cli_solve_pde_leak_is_check_failure(tmp_path, capsys):
+    # the initial density fills the box [-1, 1]: the leak flag is set
+    cfg = base_cfg()
+    cfg["pde"].update({"lo": -1.0, "hi": 1.0})
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "leak"
+    assert cli.main(["solve-pde", "--config", path,
+                     "--out", str(out)]) == cli.EXIT_CHECK
+    man = json.loads((out / "pde_manifest.json").read_text())
+    assert man["passed"] is False
+    assert man["summary"]["leak_flag"] is True
+    assert "leak budget" in capsys.readouterr().out
+
+
+def test_cli_out_falls_back_to_outputs_directory(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = base_cfg()
+    cfg["outputs"] = {"directory": "from_cfg"}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["solve-pde", "--config", path]) == cli.EXIT_OK
+    assert (tmp_path / "from_cfg" / "pde_manifest.json").exists()
+    # --out wins over the config
+    assert cli.main(["solve-pde", "--config", path,
+                     "--out", "flag"]) == cli.EXIT_OK
+    assert (tmp_path / "flag" / "pde_manifest.json").exists()
+    # neither given: out
+    path = write_cfg(tmp_path, base_cfg(), "plain.yaml")
+    assert cli.main(["solve-pde", "--config", path]) == cli.EXIT_OK
+    assert (tmp_path / "out" / "pde_manifest.json").exists()
+
+
 def test_cli_simulate_ibm_deterministic(tmp_path, capsys):
     path = write_cfg(tmp_path, base_cfg())
     blobs = []

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from crossdiff.config import (build_initial, build_model, grid_box,
+                              solver_params)
 from crossdiff.flow import (FlowError, FrozenCoefficients,
                             compose_inverse_forward, density_estimate,
                             feynman_kac_functional, forward_flow,
                             inverse_flow, semigroup_perturbation_check)
+from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
+from crossdiff.kernels import KernelSpec, convolve_field, convolve_field_grid
 from crossdiff.model import builtin_model
-from crossdiff.pde import SolverParams, solve
+from crossdiff.pde import PDESolution, SolverParams, solve
+from crossdiff.studies import frozen_flow
 
 
 def const_coeffs(sigma=0.3, drift=0.1, rate=None, noise_scale=1.0, d=1):
@@ -222,3 +227,125 @@ def test_semigroup_identical_coefficients_zero_gap():
     # constant test function: zero empirical Lipschitz constant
     assert rep.lipschitz[1] == pytest.approx(0.0, abs=1e-12)
     assert rep.lipschitz[0] >= 0.0
+
+
+# ----------------------------------------------------------------------
+# coefficient tables against the exact quadrature
+
+def _table_case(family, cells, dim, std):
+    """Two PDE snapshots of a one-species model with competition kernel C.
+
+    d = 1 is the criterion-08 problem; d = 2 the uniqueness-2d problem
+    (box [-4, 4]^2, C bandwidth 0.5) on a cells^2 grid.  Their initial
+    density has std 0.6; std "wide" reaches the edge of the box (two
+    standard deviations out), so k * u in the padding is of the order of
+    its sup.
+    """
+    bw, lo, hi = (0.4, -6.0, 6.0) if dim == 1 else (0.5, -4.0, 4.0)
+    model = ({"M": 1, "dim": 1, "family": "attraction-drift",
+              "params": {"sigma0": 0.35, "alpha": 0.3},
+              "growth": [{"kind": "bump", "base": 0.3, "amp": 1.0,
+                          "center": 0.0, "width": 1.0}]}
+             if dim == 1 else
+             {"M": 1, "dim": 2, "family": "constant-coefficients",
+              "params": {"sigma0": 0.3}, "r": [0.5], "rbar": [0.5]})
+    model["kernels"] = {"C": {"family": family, "bandwidth": bw}}
+    std = hi / 2 if std == "wide" else std
+    cfg = {"seed": 1, "model": model,
+           "initial": [{"mass": 0.8, "kind": "gaussian", "std": std}],
+           "pde": {"lo": lo, "hi": hi, "cells": cells, "dt": 0.002,
+                   "t_end": 0.02, "snapshot_times": [0.0, 0.02]}}
+    m = build_model(cfg)
+    u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
+    sol = solve(m, u0, solver_params(cfg))
+    return m, sol
+
+
+@pytest.mark.parametrize("std", [0.6, "wide"])
+@pytest.mark.parametrize("family", ["gaussian", "compact-bump"])
+@pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2), (32, 2)])
+def test_tables_match_direct_quadrature(family, cells, dim, std):
+    m, sol = _table_case(family, cells, dim, std)
+    coeffs = FrozenCoefficients.from_pde(m, sol)
+    k = m.C[0][0]
+    # the 2-d compact-bump lattice (bandwidth / 64) exceeds the node cap,
+    # so that kernel keeps the exact path
+    assert ((k, 0) in coeffs.tables) == (dim == 1 or family == "gaussian")
+    t, w = 0.013, 0.65          # between the snapshots at 0 and 0.02
+    a, b = sol.snapshots
+    u_t = GridField(a.lo, a.hi, (1.0 - w) * a.values + w * b.values, t)
+    sup = float(np.max(convolve_field_grid(k, u_t, 0)))
+    R = k.support_radius
+    rng = np.random.default_rng(cells + dim)
+    lo, hi = a.lo[0], a.hi[0]
+    box = rng.uniform(lo, hi, (400, dim))
+    side = rng.choice([-1.0, 1.0], (200, dim))
+    edge = np.where(side > 0, hi, lo)
+    padding = edge + side * rng.uniform(0, R, (200, dim))
+    beyond = edge + side * (R + 3 * a.spacing[0]
+                            + rng.uniform(0, 1, (200, dim)))
+    for X, where in ((box, "box"), (padding, "padding"),
+                     (beyond, "beyond")):
+        got = coeffs.convolved(k, 0, t, X)
+        ref = convolve_field(k, u_t, 0, X)
+        err = float(np.max(np.abs(got - ref)))
+        assert err <= 1e-5 * sup, (where, err / sup)
+        if where == "beyond":
+            assert err <= 1e-12 * sup      # exact path
+    # the rate read by the Feynman-Kac weight goes through the same tables
+    np.testing.assert_allclose(
+        coeffs.fk_rate(0, t, box),
+        m.eval_growth(0, box) - convolve_field(k, u_t, 0, box),
+        rtol=0, atol=1e-5 * sup)
+
+
+@pytest.mark.parametrize("family,dim,ratio", [
+    ("gaussian", 1, 0.125), ("gaussian", 1, 0.9), ("gaussian", 2, 0.125),
+    ("gaussian", 2, 0.9), ("compact-bump", 1, 0.25),
+    ("compact-bump", 1, 0.9), ("compact-bump", 2, 0.25)])
+def test_tables_single_cell_field(family, dim, ratio):
+    # one occupied cell: k * u is the kernel itself, the least smooth field
+    # a table meets; ratio is cell width over bandwidth
+    bw, n = 0.5, 16
+    half = n * ratio * bw / 2
+    k = KernelSpec(family, dim, bandwidth=bw)
+    v = np.zeros((1,) + (n,) * dim)
+    v[(0,) + (n // 2,) * dim] = 1.0
+    g = GridField(np.full(dim, -half), np.full(dim, half), v)
+    m = builtin_model("constant-coefficients", 1, dim, C=[[k]])
+    sol = PDESolution([g], SolverParams(dt=0.1, t_end=0.1), 0.0, 0.0, False,
+                      np.array([[g.mass(0)]]))
+    coeffs = FrozenCoefficients.from_pde(m, sol)
+    assert (k, 0) in coeffs.tables
+    X = np.random.default_rng(n).uniform(-half - bw, half + bw, (3000, dim))
+    ref = convolve_field(k, g, 0, X)
+    err = np.max(np.abs(coeffs.convolved(k, 0, 0.0, X) - ref))
+    assert err <= 1e-5 * np.max(ref)
+
+
+def test_from_pde_gaussian_G_determinant_routes_agree():
+    # a non-constant Gaussian G: the nested finite differences of
+    # inverse_flow read second derivatives of sigma through the C^2 spline
+    cfg = {"seed": 3,
+           "model": {"M": 1, "dim": 1, "family": "isotropic-saturating",
+                     "params": {"psi_max": 0.25},
+                     "kernels": {"G": {"family": "gaussian",
+                                       "bandwidth": 0.5}}},
+           "initial": [{"mass": 0.8, "kind": "gaussian", "std": 0.6}],
+           "pde": {"lo": -5.0, "hi": 5.0, "cells": 128, "dt": 0.002,
+                   "t_end": 0.2},
+           "flow": {"t": 0.2, "dt": 0.005}}
+    m = build_model(cfg)
+    u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
+    t, dt, _, coeffs = frozen_flow(cfg, m, u0)
+    assert (m.G[0][0], 0) in coeffs.tables
+    y = np.repeat(np.array([[-0.5], [0.0], [0.7]]), 20, axis=0)
+    inv = inverse_flow(coeffs, 0, t, y, dt, np.random.default_rng(12))
+    gap = np.max(np.abs(inv.det_matrix - inv.det_sde)
+                 / np.abs(inv.det_matrix))
+    assert gap <= 1e-2
+    assert np.all(inv.det_matrix > 0) and np.all(inv.det_sde > 0)
+    # same noise on the exact quadrature path: the same determinants
+    coeffs.tables = {}
+    exact = inverse_flow(coeffs, 0, t, y, dt, np.random.default_rng(12))
+    np.testing.assert_allclose(inv.det_matrix, exact.det_matrix, rtol=1e-4)

@@ -1,10 +1,13 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossdiff import kernels
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import (EmpiricalMeasure, KernelSpec, convolve_empirical,
@@ -151,6 +154,53 @@ def test_convolve_field_grid_bit_equal_to_fftconvolve(shape):
     ref = signal.fftconvolve(u.values[0], kk, mode="same") * u.cell_volume
     assert np.array_equal(convolve_field_grid(k, u, 0),
                           np.maximum(ref, 0.0))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "compact-bump"])
+@pytest.mark.parametrize("shape,offset", [((64,), (0.013,)),
+                                          ((24, 24), (0.02, -0.035))])
+def test_convolve_field_grid_offset_matches_direct(family, shape, offset):
+    rng = np.random.default_rng(5)
+    d = len(shape)
+    u = GridField(-np.ones(d), np.ones(d), rng.random((1, *shape)), 0.0)
+    k = KernelSpec(family, d, bandwidth=0.3)
+    np.testing.assert_allclose(
+        convolve_field_grid(k, u, 0, offset=offset),
+        convolve_field_grid(k, u, 0, method="direct", offset=offset),
+        rtol=1e-8, atol=1e-12)
+
+
+def test_spectrum_cache_bit_equal_to_fresh():
+    # one kernel object on two grids: the cached spectra of one grid never
+    # serve the other, and every result equals a cold-cache computation
+    rng = np.random.default_rng(6)
+    k = KernelSpec("gaussian", 1, bandwidth=0.3)
+    fields = {n: GridField([-2.0], [2.0], rng.random((1, n)), 0.0)
+              for n in (64, 128)}
+    warm = {n: [convolve_field_grid(k, u, 0) for _ in range(2)]
+            for n, u in fields.items()}
+    for n, u in fields.items():
+        kernels._kernel_spectrum.cache_clear()
+        fresh = convolve_field_grid(k, u, 0)
+        assert fresh.shape == (n,)
+        for got in warm[n]:
+            assert np.array_equal(got, fresh)
+
+
+def test_spectrum_cache_thread_safe():
+    rng = np.random.default_rng(7)
+    u = GridField([-1.0, -1.0], [1.0, 1.0], rng.random((1, 48, 48)), 0.0)
+    k = KernelSpec("gaussian", 2, bandwidth=0.2)
+    kernels._kernel_spectrum.cache_clear()
+    start = threading.Barrier(2)
+
+    def run(_):
+        start.wait()            # both threads miss the cold cache together
+        return convolve_field_grid(k, u, 0)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        a, b = pool.map(run, range(2))
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, convolve_field_grid(k, u, 0))
 
 
 def test_mollifier_identity_at_eps_one():
