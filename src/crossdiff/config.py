@@ -42,10 +42,10 @@ _KEYS = {
             "ceiling"},
     "pde": {"lo", "hi", "cells", "dt", "t_end", "mode", "snapshot_times",
             "cfl_safety", "leak_budget", "eps"},
-    "flow": {"species", "t", "dt", "n_paths", "probes", "dt_list"},
+    "flow": {"species", "t", "dt", "n_paths", "probes"},
     "uniqueness": {"deltas", "shift_axis"},
     "validate": {"lo", "hi", "v_max", "v_min", "n"},
-    "outputs": {"directory", "formats"},
+    "outputs": {"directory"},
 }
 
 

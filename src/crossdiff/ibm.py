@@ -311,6 +311,11 @@ def _simulate_thinned(model, state, params):
             for j in range(model.M):
                 d_val += float(convolve_empirical(model.C[i][j],
                                                   state.measure(j), x)[0])
+        if r_val + d_val > per_particle * (1.0 + 1e-12):
+            raise SimulationError(
+                f"species {i} rate r + d = {r_val + d_val:g} at t={t:g} "
+                f"exceeds the thinning bound {per_particle:g}; raise the "
+                f"declared rbar")
         if theta < r_val:
             sp = state.species[i]
             sp.positions = np.vstack([sp.positions, x])

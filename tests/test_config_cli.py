@@ -69,6 +69,16 @@ def test_unknown_kernel_key(tmp_path):
         build_model(load_config(write_cfg(tmp_path, cfg)))
 
 
+@pytest.mark.parametrize("section,key", [("flow", "dt_list"),
+                                         ("outputs", "formats")])
+def test_unread_keys_rejected(tmp_path, section, key):
+    # nothing reads these keys, so the strict schema refuses them
+    cfg = base_cfg()
+    cfg[section] = {key: [0.1]}
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_cfg(tmp_path, cfg))
+
+
 def test_unknown_initial_key(tmp_path):
     cfg = base_cfg()
     cfg["initial"][0]["sigma"] = 1.0
@@ -284,6 +294,17 @@ def test_cli_out_falls_back_to_outputs_directory(tmp_path, monkeypatch,
     path = write_cfg(tmp_path, base_cfg(), "plain.yaml")
     assert cli.main(["solve-pde", "--config", path]) == cli.EXIT_OK
     assert (tmp_path / "out" / "pde_manifest.json").exists()
+
+
+def test_cli_thinning_bound_violation_is_numerical_failure(tmp_path, capsys):
+    # a bump growth above the declared rbar breaks the thinning bound
+    cfg = base_cfg()
+    cfg["model"]["growth"] = [{"kind": "bump", "base": 0.1, "amp": 1.0}]
+    cfg["ibm"].update({"scheme": "thinned-events", "t_end": 1.0})
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["simulate-ibm", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
+    assert "thinning bound" in capsys.readouterr().err
 
 
 def test_cli_simulate_ibm_deterministic(tmp_path, capsys):

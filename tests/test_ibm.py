@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crossdiff.config import build_model
 from crossdiff.ibm import (PopulationState, SimParams, SimulationError,
                            SpeciesState, _step_start_fields, sample_initial,
                            simulate, step_demography, step_diffuse)
@@ -115,6 +118,53 @@ def test_thinned_pure_birth_matches_exponential_growth():
     finals = np.asarray(finals)
     se = finals.std(ddof=1) / math.sqrt(reps)
     assert abs(finals.mean() - math.exp(r * t_end)) <= 4.0 * se
+
+
+def test_thinned_rate_above_declared_rbar_raises():
+    # a bump growth peaking at base + amp = 1.5 with a declared rbar of 0.6:
+    # the thinning bound would accept every birth, so the run must refuse
+    cfg = {"model": {"M": 1, "dim": 1, "family": "constant-coefficients",
+                     "params": {"sigma0": 0.2}, "rbar": [0.6],
+                     "growth": [{"kind": "bump", "base": 0.5, "amp": 1.0}]}}
+    m = build_model(cfg)
+    init = [InitialCondition(0.5, "gaussian", std=0.3)]
+    with pytest.raises(SimulationError, match="thinning bound"):
+        simulate(m, init, SimParams(t_end=1.0, dt=0.1, K=40, seed=2,
+                                    scheme="thinned-events"))
+
+
+def test_thinned_rates_at_their_bound_run():
+    # criterion 03's model (r = rbar) and a constant C, whose death rate
+    # equals its share of the bound: both sit exactly on the bound
+    for C in (None, const_kernels(1, 1, amp=0.7)):
+        m = builtin_model("constant-coefficients", 1, 1, sigma0=0.2, r=0.5,
+                          rbar=0.5, C=C)
+        traj = simulate(m, [InitialCondition(1.0, "gaussian", std=0.6)],
+                        SimParams(t_end=1.0, dt=0.1, K=100, seed=7000,
+                                  scheme="thinned-events"))
+        assert traj.births[0] > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31), st.floats(1.0, 4.0), st.floats(1.0, 4.0),
+       st.sampled_from(["splitting", "thinned-events"]))
+def test_particle_ids_unique_and_never_reused(seed, r, c, scheme):
+    m = builtin_model("constant-coefficients", 1, 1, sigma0=0.3, r=r,
+                      rbar=r, C=const_kernels(1, 1, amp=c))
+    traj = simulate(m, [InitialCondition(1.0, "gaussian")],
+                    SimParams(t_end=0.5, dt=0.05, K=30, seed=seed,
+                              scheme=scheme,
+                              snapshot_times=tuple(np.arange(11) * 0.05)))
+    gone = set()
+    prev = set()
+    for _, state in traj.snapshots:
+        ids = state.species[0].ids
+        assert np.unique(ids).size == ids.size
+        cur = set(ids.tolist())
+        assert not cur & gone
+        gone |= prev - cur
+        prev = cur
+    assert traj.births[0] > 0 and traj.deaths[0] > 0
 
 
 def test_snapshot_off_grid_rejected():

@@ -92,6 +92,64 @@ def test_convolve_empirical_linear_in_measure():
     np.testing.assert_allclose(merged, parts, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+@pytest.mark.parametrize("chunk", [2 ** 22, 2 ** 12])
+def test_gridded_sum_matches_direct_oracle(dim, eps, chunk):
+    # normal atoms, K != N, queries off the atoms, one 20 eps beyond their
+    # hull; the gridded route is forced whatever its cost
+    rng = np.random.default_rng(0)
+    atoms = rng.normal(size=(400, dim))
+    q = rng.uniform(-2.5, 2.5, size=(300, dim))
+    q[0] = atoms.max(axis=0)
+    q[0, 0] += 20.0 * eps
+    k = KernelSpec("gaussian", dim, bandwidth=eps, amplitude=1.7)
+    grid = kernels._gridding_grid(k, atoms, q)
+    got = kernels._gridded_sum(k, atoms, q, 250, chunk, *grid)
+    ref = kernels._direct_sum(k, atoms, q, 250, 2 ** 22)
+    assert 0.0 < ref[0] < 1e-80            # the far query: tiny, not zero
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim,n,half", [(1, 2000, 3.0), (2, 5000, 0.25)])
+def test_convolve_empirical_takes_gridded_route(dim, n, half):
+    # grid nodes x (N + Q) below N x Q: the public call is the gridded sum
+    rng = np.random.default_rng(dim)
+    atoms = rng.uniform(-half, half, size=(n, dim))
+    q = rng.uniform(-half, half, size=(n, dim))
+    k = KernelSpec("gaussian", dim, bandwidth=0.5)
+    grid = kernels._gridding_grid(k, atoms, q)
+    assert np.prod(grid[1]) * 2 * n < n * n
+    got = convolve_empirical(k, EmpiricalMeasure(atoms, K=3 * n), q)
+    assert np.array_equal(
+        got, kernels._gridded_sum(k, atoms, q, 3 * n, 2 ** 22, *grid))
+    if dim == 1:
+        np.testing.assert_allclose(
+            got, kernels._direct_sum(k, atoms, q, 3 * n, 2 ** 22),
+            rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", ["compact-bump", "tabulated", "one-atom",
+                                  "one-query"])
+def test_convolve_empirical_direct_route_bit_identical(case):
+    rng = np.random.default_rng(5)
+    atoms = rng.normal(size=(1 if case == "one-atom" else 2000, 1))
+    q = rng.normal(size=(2000, 1))
+    if case == "compact-bump":
+        k = KernelSpec("compact-bump", 1, bandwidth=0.5)
+    elif case == "tabulated":
+        k = KernelSpec("tabulated", 1, table=(np.linspace(0.0, 1.5, 16),
+                                              np.linspace(1.0, 0.0, 16)))
+    else:
+        k = KernelSpec("gaussian", 1, bandwidth=0.5)
+    nu = EmpiricalMeasure(atoms, K=700)
+    ref = kernels._direct_sum(k, atoms, q, 700, 2 ** 22)
+    if case == "one-query":
+        assert convolve_empirical(k, nu, q[0]) == ref[0]
+    else:
+        assert np.array_equal(convolve_empirical(k, nu, q), ref)
+
+
 def _field(mass=2.0, std=1.0, cells=256, half=8.0):
     return project_to_grid([InitialCondition(mass, "gaussian", std=std)],
                            [-half], [half], [cells])
