@@ -5,16 +5,16 @@ so they are safe to share across threads.  Convolutions against empirical
 measures are exact to roundoff.  Gaussian kernels in d <= 2 use Gaussian
 gridding (k_eps = k_s * k_s, s = eps / sqrt(2), spread on a grid of step
 eps / 4 and gathered by the trapezoid rule, relative error ~exp(-8 pi^2))
-at a cost of grid nodes x (N + Q) for N atoms and Q queries, whenever that
-is below the N x Q of the direct sum; every other case is the direct sum,
-which is also the gridded route's test oracle.  Against a grid field,
-convolve_field is the midpoint-rule quadrature at arbitrary points, and
-convolve_field_grid gives the same quadrature at every cell centre (shifted
-by an optional sub-cell offset) through one FFT engine: the sampled kernel
-table's spectrum is cached per kernel, grid shape, spacing and offset in a
-bounded, thread-safe LRU cache, so the PDE step and the flow coefficient
-tables build each spectrum once.  Its "direct" method is the oracle, and the
-two agree to 1e-8.
+whenever its cost, grid nodes x (N + Q) for N atoms and Q queries, is below
+that of the direct sum; every other case is the direct sum, which is also
+the gridded route's test oracle.  Against a grid field, convolve_field is
+the midpoint-rule quadrature at arbitrary points, and convolve_field_grid
+gives the same quadrature at every cell centre (shifted by an optional
+sub-cell offset) for one kernel-species pair or a batch of them, through
+one FFT engine: one forward FFT of all species, one inverse FFT of the
+batch, and kernel spectra cached per kernel, grid shape, spacing and
+offset in a bounded, thread-safe LRU cache.  Its "direct" method is the
+oracle, and the two agree to 1e-8.
 """
 
 from __future__ import annotations
@@ -253,8 +253,9 @@ def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x,
 
     x may be a single d-vector or an (n, d) batch; empty measures give 0.
     Gaussian kernels in d <= 2 go through Gaussian gridding when its cost,
-    grid nodes x (N + Q), is below the N x Q of the direct sum; every other
-    case is the direct sum.  chunk caps the elements of each intermediate.
+    grid nodes x (N + Q), is below the N x Q of the direct sum (weighted by
+    GRIDDING_PAIR_COST in 2-d); every other case is the direct sum.  chunk
+    caps the elements of each intermediate.
     """
     single = np.asarray(x, dtype=float).ndim == 1
     xq = np.atleast_2d(np.asarray(x, dtype=float))
@@ -265,8 +266,9 @@ def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x,
     else:
         grid = _gridding_grid(k, nu.atoms, xq)
         n_atoms, n_query = nu.n_atoms, xq.shape[0]
-        if grid is not None and \
-                np.prod(grid[1]) * (n_atoms + n_query) < n_atoms * n_query:
+        pair_cost = GRIDDING_PAIR_COST if k.dim == 2 else 1.0
+        if grid is not None and np.prod(grid[1]) * (n_atoms + n_query) \
+                < pair_cost * n_atoms * n_query:
             out = _gridded_sum(k, nu.atoms, xq, nu.K, chunk, *grid)
         else:
             out = _direct_sum(k, nu.atoms, xq, nu.K, chunk)
@@ -293,6 +295,9 @@ def _direct_sum(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray, K: int,
 # = exp(-8 pi^2) ~ 5e-35 and the padding cuts it at 10 std (~1e-23).
 GRIDDING_STEP = 0.25
 GRIDDING_PAD = 5.0
+# A 2-d direct-sum pair costs 50-250 node x point products of the gridded
+# route (one BLAS thread); the cost rule counts it as 25 of them.
+GRIDDING_PAIR_COST = 25.0
 
 
 def _gridding_grid(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray):
@@ -387,32 +392,43 @@ def _fft_shape(shape: tuple) -> list:
     return [fft.next_fast_len(3 * n - 2, real=True) for n in shape]
 
 
-def convolve_field_grid(k: KernelSpec, u: GridField, species: int,
-                        method: str = "fft", offset=None) -> np.ndarray:
+def convolve_field_grid(k, u: GridField, species, method: str = "fft",
+                        offset=None) -> np.ndarray:
     """Whole-grid convolution, same quadrature as convolve_field.
 
     Values are taken at the cell centres shifted by offset (a d-vector,
-    zero by default).  method "fft" is the zero-padded discrete-Fourier
-    fast path with cached kernel spectra; "direct" is the O(n^2) oracle
-    retained for tests.
+    zero by default).  Equal-length sequences k and species give the stack
+    (P, *shape) of k[p] * u^species[p]: one forward FFT of every species and
+    one inverse FFT of the stack.  method "fft" is the zero-padded
+    discrete-Fourier fast path with cached kernel spectra; "direct" is the
+    O(n^2) oracle retained for tests.
     """
-    if k.dim != u.dim:
-        raise ValueError("kernel and field dimensions differ")
-    if k.family == "constant":
-        return np.full(u.shape, k.amplitude * u.mass(species))
+    single = isinstance(k, KernelSpec)
+    ks, js = ((k,), (species,)) if single else (tuple(k), tuple(species))
+    if len(ks) != len(js) or any(kk.dim != u.dim for kk in ks):
+        raise ValueError("need one kernel of the field's dimension per species")
+    if method not in ("fft", "direct"):
+        raise ValueError("method must be 'fft' or 'direct'")
     offset = np.zeros(u.dim) if offset is None else \
         np.asarray(offset, dtype=float).reshape(u.dim)
+    out = np.empty((len(ks),) + u.shape)
+    const = [p for p, kk in enumerate(ks) if kk.family == "constant"]
+    rest = [p for p, kk in enumerate(ks) if kk.family != "constant"]
+    masses = u.mass() if const else None
+    for p in const:
+        out[p] = ks[p].amplitude * masses[js[p]]
     if method == "direct":
-        centers = u.centers() + offset
-        return convolve_field(k, u, species, centers).reshape(u.shape)
-    if method != "fft":
-        raise ValueError("method must be 'fft' or 'direct'")
-    shape = u.shape
-    kspec = _kernel_spectrum(k, shape, tuple(float(h) for h in u.spacing),
-                             tuple(float(o) for o in offset))
-    fshape = _fft_shape(shape)
-    spec = fft.rfftn(u.values[species], fshape) * kspec
-    # the central n entries (offset n - 1) are the values at the cell centres
-    conv = fft.irfftn(spec, fshape)[tuple(slice(n - 1, 2 * n - 1)
-                                          for n in shape)]
-    return np.maximum(conv * u.cell_volume, 0.0)
+        for p in rest:
+            out[p] = convolve_field(ks[p], u, js[p], u.centers() + offset
+                                    ).reshape(u.shape)
+    elif rest:
+        fshape, axes = _fft_shape(u.shape), range(1, u.dim + 1)
+        key = (u.shape, tuple(u.spacing.tolist()), tuple(offset.tolist()))
+        kspec = np.stack([_kernel_spectrum(ks[p], *key) for p in rest])
+        uspec = fft.rfftn(u.values, fshape, axes=axes)
+        conv = fft.irfftn(uspec[[js[p] for p in rest]] * kspec, fshape,
+                          axes=axes)
+        # the central n entries (offset n - 1) are the cell-centre values
+        conv = conv[(...,) + tuple(slice(n - 1, 2 * n - 1) for n in u.shape)]
+        out[rest] = np.maximum(conv * u.cell_volume, 0.0)
+    return out[0] if single else out

@@ -69,106 +69,98 @@ class PDESolution:
 
 
 # ---------------------------------------------------------------------
-# zero-Dirichlet finite differences
+# zero-Dirichlet finite differences on a species stack (M, *shape);
+# spatial axis k of the grid is axis k + 1 of the stack
 
-def _pad(F: np.ndarray) -> np.ndarray:
-    return np.pad(F, 1, mode="constant")
+def _neighbours(F: np.ndarray, axis: int) -> tuple:
+    """F one cell ahead and one cell behind along axis, zero beyond it."""
+    P = np.zeros(F.shape[:axis] + (F.shape[axis] + 2,) + F.shape[axis + 1:])
+    P[(slice(None),) * axis + (slice(1, -1),)] = F
+    return (P[(slice(None),) * axis + (slice(2, None),)],
+            P[(slice(None),) * axis + (slice(None, -2),)])
 
 
 def _d1(F: np.ndarray, h: float, axis: int) -> np.ndarray:
-    P = _pad(F)
-    sl_p = [slice(1, -1)] * F.ndim
-    sl_m = [slice(1, -1)] * F.ndim
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(None, -2)
-    return (P[tuple(sl_p)] - P[tuple(sl_m)]) / (2.0 * h)
+    ahead, behind = _neighbours(F, axis)
+    return (ahead - behind) / (2.0 * h)
 
 
 def _d2(F: np.ndarray, h: float, axis: int) -> np.ndarray:
-    P = _pad(F)
-    sl_p = [slice(1, -1)] * F.ndim
-    sl_m = [slice(1, -1)] * F.ndim
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(None, -2)
-    return (P[tuple(sl_p)] - 2.0 * F + P[tuple(sl_m)]) / (h * h)
+    ahead, behind = _neighbours(F, axis)
+    return (ahead - 2.0 * F + behind) / (h * h)
 
 
 def _d2_cross(F: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    P = _pad(F)
-    return (P[2:, 2:] - P[2:, :-2] - P[:-2, 2:] + P[:-2, :-2]) / (4.0 * hx * hy)
+    (pp, pm), (mp, mm) = [_neighbours(S, 2) for S in _neighbours(F, 1)]
+    return (pp - pm - mp + mm) / (4.0 * hx * hy)
 
 
 # ---------------------------------------------------------------------
 
-def _conv_matrix(kmat, u: GridField) -> list:
-    """[i][j] grid arrays of K^ij * u^j via the FFT fast path."""
-    return [[convolve_field_grid(kmat[i][j], u, j) for j in range(u.n_species)]
-            for i in range(u.n_species)]
-
-
 def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel"):
     """Right-hand side arrays (M, *shape) and the grid sup of a_eff."""
+    return _rhs(u, model, mode)[:2]
+
+
+def _rhs(u: GridField, model: CoefficientModel, mode: str):
+    """rhs, plus the rates max_k max|b_k| / h_k and max|r - death|."""
     M, d = model.M, model.d
     if u.n_species != M or u.dim != d:
         raise ValueError("field does not match the model dimensions")
-    pts = u.centers()
-    h = u.spacing
-    shape = u.shape
-    conv_G = _conv_matrix(model.G, u)
-    conv_H = _conv_matrix(model.H, u)
-    if mode == "kernel":
-        if model.C is None:
-            death = [np.zeros(shape) for _ in range(M)]
-        else:
-            conv_C = _conv_matrix(model.C, u)
-            death = [sum(conv_C[i][j] for j in range(M)) for i in range(M)]
-    elif mode == "local":
-        if model.comp is None:
-            raise ValueError("local mode needs competition constants")
-        death = [sum(model.comp[i, j] * u.values[j] for j in range(M))
-                 for i in range(M)]
-    else:
+    if mode not in ("kernel", "local"):
         raise ValueError("mode must be 'kernel' or 'local'")
-
-    out = np.zeros_like(u.values)
-    a_sup = 0.0
+    if mode == "local" and model.comp is None:
+        raise ValueError("local mode needs competition constants")
+    pts, h, U = u.centers(), u.spacing, u.values
+    # one batched convolution for every pair of G, H and (kernel mode) C
+    mats = [model.G, model.H] + (
+        [model.C] if mode == "kernel" and model.C is not None else [])
+    conv = convolve_field_grid(
+        [row[j] for mat in mats for row in mat for j in range(M)], u,
+        [j for _ in range(len(mats) * M) for j in range(M)])
+    conv = conv.reshape(len(mats), M, M, -1)   # [matrix, i, j, cell]
+    if mode == "local":
+        death = sum(model.comp[:, j, None] * U[j].ravel() for j in range(M))
+    else:   # 0 without competition kernels
+        death = sum(c[:, j] for c in conv[2:] for j in range(M))
+    n = pts.shape[0]
+    a, b, r = np.empty((M, n, d, d)), np.empty((M, n, d)), np.empty((M, n))
     for i in range(M):
-        vg = np.stack([conv_G[i][j].ravel() for j in range(M)], axis=1)
-        vh = np.stack([conv_H[i][j].ravel() for j in range(M)], axis=1)
-        a = model.diffusion_factor * diffusion_matrix(model, i, pts, vg)
-        a = a.reshape(shape + (d, d))
-        b = model.eval_drift(i, pts, vh).reshape(shape + (d,))
-        r = model.eval_growth(i, pts).reshape(shape)
-        ui = u.values[i]
-        a_sup = max(a_sup, float(np.max(np.abs(a))))
+        vg, vh = np.ascontiguousarray(conv[:2, i].transpose(0, 2, 1))
+        a[i] = model.diffusion_factor * diffusion_matrix(model, i, pts, vg)
+        b[i] = model.eval_drift(i, pts, vh)
+        r[i] = model.eval_growth(i, pts)
+    a, b, react = (x.reshape(U.shape + x.shape[2:]) for x in (a, b, r - death))
 
-        acc = np.zeros(shape)
-        for k in range(d):
-            acc += _d2(a[..., k, k] * ui, h[k], k)
-        if d == 2:
-            acc += 2.0 * _d2_cross(a[..., 0, 1] * ui, h[0], h[1])
-        for k in range(d):
-            acc -= _d1(b[..., k] * ui, h[k], k)
-        acc += (r - death[i]) * ui
-        out[i] = acc
-    return out, a_sup
+    acc = np.zeros(U.shape)
+    for k in range(d):
+        acc += _d2(a[..., k, k] * U, h[k], k + 1)
+    if d == 2:
+        acc += 2.0 * _d2_cross(a[..., 0, 1] * U, h[0], h[1])
+    for k in range(d):
+        acc -= _d1(b[..., k] * U, h[k], k + 1)
+    acc += react * U
+    return (acc, float(np.max(np.abs(a))), float(np.max(np.abs(b) / h)),
+            float(np.max(np.abs(react))))
 
 
-def _check_cfl(dt: float, u: GridField, a_sup: float, safety: float):
-    h2 = float(np.min(u.spacing) ** 2)
-    if a_sup <= 0:
-        return
-    bound = safety * h2 / (2.0 * u.dim * a_sup)
-    if dt > bound * (1.0 + 1e-12):
-        raise CFLError(f"dt={dt:g} exceeds stability bound {bound:g} "
-                       f"(sup a={a_sup:g}, h^2={h2:g})")
+def _check_cfl(dt: float, u: GridField, a_sup: float, b_rate: float,
+               react_sup: float, safety: float):
+    """dt times each rate of the Euler step stays below safety: diffusive
+    2 d sup a / h^2, advective max_k max|b_k| / h_k, reaction max|r - death|."""
+    rates = {"diffusive": 2.0 * u.dim * a_sup / float(np.min(u.spacing) ** 2),
+             "advective": b_rate, "reaction": react_sup}
+    for name, rate in rates.items():
+        if dt * rate > safety * (1.0 + 1e-12):
+            raise CFLError(f"dt={dt:g} exceeds the {name} stability bound "
+                           f"{safety / rate:g} (rate {rate:g})")
 
 
 def step(u: GridField, model: CoefficientModel, dt: float,
          mode: str = "kernel", cfl_safety: float = 0.9):
     """One explicit Euler step; returns (new field, clamped mass)."""
-    dudt, a_sup = rhs(u, model, mode)
-    _check_cfl(dt, u, a_sup, cfl_safety)
+    dudt, *rates = _rhs(u, model, mode)
+    _check_cfl(dt, u, *rates, cfl_safety)
     new = u.values + dt * dudt
     clamped = float(-np.minimum(new, 0.0).sum() * u.cell_volume)
     out = GridField(u.lo, u.hi, np.maximum(new, 0.0), u.time + dt)

@@ -337,3 +337,47 @@ def test_cli_report(tmp_path, capsys):
 
 def test_cli_no_verb_is_usage_error(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
+
+
+def dirac_cfg():
+    return {
+        "seed": 13,
+        "model": {"M": 2, "dim": 1, "family": "constant-coefficients",
+                  "params": {"sigma0": 0.3}, "r": [1.0, 1.0],
+                  "rbar": [1.0, 1.0], "comp": [[1.0, 0.5], [0.5, 1.0]]},
+        "initial": [{"mass": 0.5, "kind": "gaussian", "mean": 0.0,
+                     "std": 0.6},
+                    {"mass": 0.5, "kind": "gaussian", "mean": 0.3,
+                     "std": 0.6}],
+        "pde": {"lo": -5.0, "hi": 5.0, "cells": 32, "dt": 0.004,
+                "t_end": 0.2, "snapshot_times": [0.0, 0.1, 0.2],
+                "eps": [0.4, 0.2, 0.1]},
+    }
+
+
+def test_cli_study_dirac_identical_across_workers_and_resume(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    from crossdiff import kernels, pde, studies
+    path = write_cfg(tmp_path, dirac_cfg())
+    solves, solve = [], pde.solve
+
+    def counted(*args, **kwargs):
+        solves.append(args[2].mode)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(studies.pde, "solve", counted)
+    codes, tables = [], []
+    for out, extra in (("w1", ["--workers", "1"]), ("w2", ["--workers", "2"]),
+                       ("w2", ["--workers", "2", "--resume"])):
+        kernels._kernel_spectrum.cache_clear()    # two threads, cold cache
+        solves.clear()
+        codes.append(cli.main(["study-dirac", "--config", path,
+                               "--out", str(tmp_path / out)] + extra))
+        tables.append((tmp_path / out / "dirac.csv").read_bytes())
+        assert (tmp_path / out / "study_dirac_manifest.json").exists()
+    # the resumed run reads every kernel-mode distance from the cache
+    assert solves == ["local"]
+    assert codes[0] in (cli.EXIT_OK, cli.EXIT_CHECK)
+    assert codes == [codes[0]] * 3
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[0].count(b"\n") == 4

@@ -129,6 +129,25 @@ def test_convolve_empirical_takes_gridded_route(dim, n, half):
             rtol=1e-12, atol=0)
 
 
+def test_convolve_empirical_2d_cost_rule_takes_gridded_route():
+    # N = Q = 3,000, eps = 0.5, atoms N(0, I): grid nodes x (N + Q) exceeds
+    # N x Q, but a 2-d direct-sum pair costs far more than a node x point
+    # product, and the weighted rule picks the gridded sum
+    rng = np.random.default_rng(10)
+    n = 3000
+    atoms, q = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    k = KernelSpec("gaussian", 2, bandwidth=0.5)
+    grid = kernels._gridding_grid(k, atoms, q)
+    assert n * n < np.prod(grid[1]) * 2 * n < \
+        kernels.GRIDDING_PAIR_COST * n * n
+    got = convolve_empirical(k, EmpiricalMeasure(atoms, K=n), q)
+    assert np.array_equal(
+        got, kernels._gridded_sum(k, atoms, q, n, 2 ** 22, *grid))
+    np.testing.assert_allclose(
+        got, kernels._direct_sum(k, atoms, q, n, 2 ** 22), rtol=1e-12,
+        atol=0)
+
+
 @pytest.mark.parametrize("case", ["compact-bump", "tabulated", "one-atom",
                                   "one-query"])
 def test_convolve_empirical_direct_route_bit_identical(case):
@@ -259,6 +278,58 @@ def test_spectrum_cache_thread_safe():
         a, b = pool.map(run, range(2))
     assert np.array_equal(a, b)
     assert np.array_equal(a, convolve_field_grid(k, u, 0))
+
+
+def _mixed_kernels(d):
+    r = np.linspace(0.0, 0.6, 13)
+    return (KernelSpec("gaussian", d, bandwidth=0.3, amplitude=1.3),
+            KernelSpec("compact-bump", d, bandwidth=0.4),
+            KernelSpec("tabulated", d, table=(r, 1.0 - r / 0.6)),
+            KernelSpec("constant", d, amplitude=0.7))
+
+
+@pytest.mark.parametrize("method", ["fft", "direct"])
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("shape", [(64,), (20, 24)])
+def test_batched_grid_convolution_equals_pairwise(shape, shifted, method):
+    # M = 3 species, every kernel family in one call, species repeated and
+    # out of order, kernel objects used more than once
+    rng = np.random.default_rng(8)
+    d = len(shape)
+    u = GridField(-np.ones(d), np.ones(d), rng.random((3, *shape)), 0.0)
+    offset = 0.3 * u.spacing * (-1.0) ** np.arange(d) if shifted else None
+    g, b, t, c = _mixed_kernels(d)
+    ks = [g, b, t, c, g, c, t, b, g]
+    js = [0, 2, 1, 1, 2, 0, 0, 0, 0]
+    got = convolve_field_grid(ks, u, js, method=method, offset=offset)
+    assert got.shape == (len(ks),) + shape
+    for p, (k, j) in enumerate(zip(ks, js)):
+        assert np.array_equal(
+            got[p], convolve_field_grid(k, u, j, method=method,
+                                        offset=offset)), p
+    # constant kernels give amplitude x mass
+    assert np.all(got[3] == 0.7 * u.mass(1))
+
+
+def test_batched_grid_convolution_fft_matches_direct():
+    rng = np.random.default_rng(9)
+    u = GridField([-1.0, -1.0], [1.0, 1.0], rng.random((2, 24, 24)), 0.0)
+    ks, js = _mixed_kernels(2), [1, 0, 1, 0]
+    np.testing.assert_allclose(convolve_field_grid(ks, u, js),
+                               convolve_field_grid(ks, u, js,
+                                                   method="direct"),
+                               rtol=1e-8, atol=1e-12)
+
+
+def test_batched_grid_convolution_rejects_bad_input():
+    u = GridField([-1.0], [1.0], np.ones((2, 16)), 0.0)
+    g = KernelSpec("gaussian", 1, bandwidth=0.3)
+    with pytest.raises(ValueError):
+        convolve_field_grid([g, g], u, [0])
+    with pytest.raises(ValueError):
+        convolve_field_grid([g, KernelSpec("gaussian", 2)], u, [0, 1])
+    with pytest.raises(ValueError):
+        convolve_field_grid([g], u, [0], method="spectral")
 
 
 def test_mollifier_identity_at_eps_one():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from crossdiff.initial import InitialCondition, project_to_grid
-from crossdiff.model import builtin_model
+from crossdiff.kernels import KernelSpec, convolve_field_grid
+from crossdiff.model import CoefficientModel, builtin_model, diffusion_matrix
 from crossdiff.pde import (CFLError, SolverParams, mass_bound_check, rhs,
                            solve, step)
 
@@ -184,3 +187,162 @@ def test_clamp_mass_reported_nonnegative():
     sol = solve(m, u0, SolverParams(dt=0.002, t_end=0.1))
     assert sol.clamp_mass >= 0.0
     assert sol.clamp_mass < 1e-6
+
+
+# ----------------------------------------------------------------------
+# the batched right-hand side against the pair-by-pair algorithm
+
+def _padded(F):
+    return np.pad(F, 1, mode="constant")
+
+
+def _ref_d1(F, h, axis):
+    P = _padded(F)
+    sl_p, sl_m = [slice(1, -1)] * F.ndim, [slice(1, -1)] * F.ndim
+    sl_p[axis], sl_m[axis] = slice(2, None), slice(None, -2)
+    return (P[tuple(sl_p)] - P[tuple(sl_m)]) / (2.0 * h)
+
+
+def _ref_d2(F, h, axis):
+    P = _padded(F)
+    sl_p, sl_m = [slice(1, -1)] * F.ndim, [slice(1, -1)] * F.ndim
+    sl_p[axis], sl_m[axis] = slice(2, None), slice(None, -2)
+    return (P[tuple(sl_p)] - 2.0 * F + P[tuple(sl_m)]) / (h * h)
+
+
+def _ref_d2_cross(F, hx, hy):
+    P = _padded(F)
+    return (P[2:, 2:] - P[2:, :-2] - P[:-2, 2:] + P[:-2, :-2]) / (4.0 * hx * hy)
+
+
+def _reference_rhs(u, model, mode):
+    """One convolve_field_grid call per kernel pair and np.pad differences,
+    species by species."""
+    M, d = model.M, model.d
+    pts, h, shape = u.centers(), u.spacing, u.shape
+
+    def conv(kmat):
+        return [[convolve_field_grid(kmat[i][j], u, j) for j in range(M)]
+                for i in range(M)]
+    conv_G, conv_H = conv(model.G), conv(model.H)
+    if mode == "local":
+        death = [sum(model.comp[i, j] * u.values[j] for j in range(M))
+                 for i in range(M)]
+    elif model.C is None:
+        death = [np.zeros(shape) for _ in range(M)]
+    else:
+        conv_C = conv(model.C)
+        death = [sum(conv_C[i][j] for j in range(M)) for i in range(M)]
+    out = np.zeros_like(u.values)
+    a_sup = 0.0
+    for i in range(M):
+        vg = np.stack([conv_G[i][j].ravel() for j in range(M)], axis=1)
+        vh = np.stack([conv_H[i][j].ravel() for j in range(M)], axis=1)
+        a = model.diffusion_factor * diffusion_matrix(model, i, pts, vg)
+        a = a.reshape(shape + (d, d))
+        b = model.eval_drift(i, pts, vh).reshape(shape + (d,))
+        r = model.eval_growth(i, pts).reshape(shape)
+        ui = u.values[i]
+        a_sup = max(a_sup, float(np.max(np.abs(a))))
+        acc = np.zeros(shape)
+        for k in range(d):
+            acc += _ref_d2(a[..., k, k] * ui, h[k], k)
+        if d == 2:
+            acc += 2.0 * _ref_d2_cross(a[..., 0, 1] * ui, h[0], h[1])
+        for k in range(d):
+            acc -= _ref_d1(b[..., k] * ui, h[k], k)
+        acc += (r - death[i]) * ui
+        out[i] = acc
+    return out, a_sup
+
+
+def _cross_model(d, with_C=True):
+    """Two species whose sigma, drift and death all read their kernels:
+    Gaussian, compact-bump and constant kernels mixed in G, H and C, and an
+    off-diagonal sigma in 2-d."""
+    g = KernelSpec("gaussian", d, bandwidth=0.4)
+    bump = KernelSpec("compact-bump", d, bandwidth=0.6)
+    const = KernelSpec("constant", d, amplitude=0.5)
+    C = [[KernelSpec("gaussian", d, bandwidth=0.3, amplitude=c) for c in row]
+         for row in ((1.0, 0.5), (0.3, 0.8))] if with_C else None
+
+    def sigma(i):
+        def fn(x, v):
+            s = v.sum(axis=1)
+            out = np.sqrt(0.05 + s / (1.0 + s))[:, None, None] * np.eye(d)
+            if d == 2:
+                out[:, 0, 1] = 0.1 * np.tanh(v[:, i])
+            return out
+        return fn
+
+    def drift(i):
+        return lambda x, v: -0.3 * x + 0.2 * v[:, i:i + 1] - 0.1 * v[:, :1]
+
+    growth = [lambda x: 1.0 + 0.5 * np.exp(-np.sum(x * x, axis=1))] * 2
+    return CoefficientModel(2, d, [sigma(0), sigma(1)], [drift(0), drift(1)],
+                            growth, [1.5, 1.5], G=[[g, const], [bump, g]],
+                            H=[[bump, g], [const, bump]], C=C,
+                            comp=np.array([[1.0, 0.5], [0.4, 1.2]]))
+
+
+@pytest.mark.parametrize("mode,with_C", [("kernel", True), ("kernel", False),
+                                         ("local", True)])
+@pytest.mark.parametrize("shape", [(64,), (20, 24)])
+def test_rhs_bit_equal_to_pairwise_reference(shape, mode, with_C):
+    d = len(shape)
+    specs = [InitialCondition(0.6, "gaussian", mean=0.2, std=0.7, dim=d),
+             InitialCondition(0.9, "gaussian", mean=-0.3, std=0.9, dim=d)]
+    u = project_to_grid(specs, [-4.0] * d, [4.0] * d, list(shape))
+    model = _cross_model(d, with_C)
+    dudt, a_sup = rhs(u, model, mode)
+    ref, ref_sup = _reference_rhs(u, model, mode)
+    assert np.array_equal(dudt, ref)
+    assert a_sup == ref_sup
+
+
+# ----------------------------------------------------------------------
+# stability limits beyond diffusion
+
+def test_cfl_advective_bound_raises():
+    # no diffusion; dt max|b| / h = 0.01 * 50 / 0.0875 = 5.7 > 0.9
+    m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, drift0=50.0)
+    u0 = gaussian_field()
+    with pytest.raises(CFLError, match="advective"):
+        step(u0, m, dt=0.01)
+    step(u0, m, dt=0.001)           # 0.57 <= 0.9
+
+
+def test_cfl_reaction_bound_raises():
+    # no diffusion or drift; dt max|r - death| = 0.01 * 100 = 1.0 > 0.9
+    m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, r=100.0)
+    u0 = gaussian_field()
+    with pytest.raises(CFLError, match="reaction"):
+        step(u0, m, dt=0.01)
+    step(u0, m, dt=0.005)           # 0.5 <= 0.9
+
+
+def test_cfl_diffusive_bound_is_named():
+    m = builtin_model("constant-coefficients", 1, 1, sigma0=1.0)
+    with pytest.raises(CFLError, match="diffusive"):
+        step(gaussian_field(cells=256, half=4.0), m, dt=0.01)
+
+
+# ----------------------------------------------------------------------
+# mass conservation up to the clamped mass
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+       st.floats(0.1, 0.5), st.floats(0.4, 0.8))
+def test_mass_is_initial_plus_clamped_without_reactions(M, d, sigma0, std):
+    # r = 0 and no C: the zero-Dirichlet differences move mass only through
+    # the boundary, which this field never reaches (fraction < 1e-12)
+    cells = 64 if d == 1 else 32
+    specs = [InitialCondition(0.5 + 0.3 * i, "gaussian", std=std, dim=d)
+             for i in range(M)]
+    u0 = project_to_grid(specs, [-8.0] * d, [8.0] * d, [cells] * d)
+    m = builtin_model("constant-coefficients", M, d, sigma0=sigma0)
+    sol = solve(m, u0, SolverParams(dt=0.01, t_end=0.5,
+                                    snapshot_times=(0.0, 0.5)))
+    assert sol.max_boundary_fraction < 1e-12
+    assert sol.masses[-1].sum() == pytest.approx(
+        sol.masses[0].sum() + sol.clamp_mass, rel=1e-12)
