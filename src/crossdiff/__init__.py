@@ -6,16 +6,15 @@ and Feynman-Kac estimators, and a bounded-Lipschitz metric engine.
 from .grids import GridField
 from .initial import InitialCondition, project_to_grid
 from .kernels import (EmpiricalMeasure, KernelSpec, convolve_empirical,
-                      convolve_field, convolve_field_grid, evaluate,
-                      mollifier)
-from .metrics import DiscreteMeasure, bl_distance, moments, rate_fit, total_mass
+                      convolve_field, convolve_field_grid, mollifier)
+from .metrics import DiscreteMeasure, bl_distance, rate_fit
 from .model import CoefficientModel, ProbeSpec, builtin_model, validate
 
 __all__ = [
     "GridField", "InitialCondition", "project_to_grid",
     "EmpiricalMeasure", "KernelSpec", "convolve_empirical", "convolve_field",
-    "convolve_field_grid", "evaluate", "mollifier",
-    "DiscreteMeasure", "bl_distance", "moments", "rate_fit", "total_mass",
+    "convolve_field_grid", "mollifier",
+    "DiscreteMeasure", "bl_distance", "rate_fit",
     "CoefficientModel", "ProbeSpec", "builtin_model", "validate",
 ]
 

@@ -58,10 +58,14 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _out_dir(args, cfg: dict) -> str:
+    return args.out or (cfg.get("outputs") or {}).get("directory") or "out"
+
+
 def _load(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
-    out = args.out or (cfg.get("outputs") or {}).get("directory") or "out"
+    out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
     return cfg, seed, out
 
@@ -199,7 +203,7 @@ def _cmd_study(name):
 
 
 def _cmd_report(args) -> int:
-    out = args.out or "out"
+    out = _out_dir(args, load_config(args.config) if args.config else {})
     manifests = sorted(glob.glob(os.path.join(out, "*manifest*.json")))
     if not manifests:
         print(f"no manifests under {out}", file=sys.stderr)

@@ -46,10 +46,12 @@ _KEYS = {
     "uniqueness": {"deltas", "shift_axis"},
     "validate": {"lo", "hi", "v_max", "v_min", "n"},
     "outputs": {"directory"},
+    "kernels": {"G", "H", "C", "gamma"},
+    "gamma": {"family"},
 }
 
 
-def _check_keys(section: str, obj: dict, allowed: set, where: str):
+def _check_keys(obj: dict, allowed: set, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(obj).__name__}")
     extra = set(obj) - allowed
@@ -63,19 +65,19 @@ def load_config(path: str) -> dict:
         cfg = yaml.safe_load(f)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    _check_keys("top", cfg, _SECTIONS, path)
+    _check_keys(cfg, _SECTIONS, path)
     if "seed" not in cfg:
         raise ConfigError("config must set an explicit top-level 'seed'")
     if "model" not in cfg or "initial" not in cfg:
         raise ConfigError("config needs 'model' and 'initial' sections")
-    _check_keys("model", cfg["model"], _KEYS["model"], "model")
+    _check_keys(cfg["model"], _KEYS["model"], "model")
     for name in ("ibm", "pde", "flow", "uniqueness", "validate", "outputs"):
         if name in cfg:
-            _check_keys(name, cfg[name], _KEYS[name], name)
+            _check_keys(cfg[name], _KEYS[name], name)
     if not isinstance(cfg["initial"], list) or not cfg["initial"]:
         raise ConfigError("'initial' must be a nonempty list of species specs")
     for n, entry in enumerate(cfg["initial"]):
-        _check_keys("initial", entry, _KEYS["initial"], f"initial[{n}]")
+        _check_keys(entry, _KEYS["initial"], f"initial[{n}]")
     return cfg
 
 
@@ -83,7 +85,7 @@ def load_config(path: str) -> dict:
 # kernel construction
 
 def _one_kernel(spec: dict, d: int, amplitude=None) -> KernelSpec:
-    _check_keys("kernel", spec, _KEYS["kernel"], "kernel")
+    _check_keys(spec, _KEYS["kernel"], "kernel")
     fam = spec.get("family", "constant")
     amp = float(amplitude if amplitude is not None
                 else spec.get("amplitude", 1.0))
@@ -116,11 +118,9 @@ def mollified_C(cfg: dict, eps: float):
     mcfg = cfg["model"]
     M, d = int(mcfg["M"]), int(mcfg.get("dim", 1))
     comp = np.asarray(mcfg.get("comp"), dtype=float)
-    if comp is None or comp.shape != (M, M):
+    if comp.shape != (M, M):
         raise ConfigError("dirac study needs an M x M 'comp' matrix")
-    kspec = (mcfg.get("kernels") or {}).get("gamma",
-                                            {"family": "gaussian"}) \
-        if isinstance(mcfg.get("kernels"), dict) else {"family": "gaussian"}
+    kspec = (mcfg.get("kernels") or {}).get("gamma") or {}
     gamma = KernelSpec(kspec.get("family", "gaussian"), d, bandwidth=1.0,
                        amplitude=1.0)
     g_eps = mollifier(gamma, eps)
@@ -143,7 +143,7 @@ def mollified_C(cfg: dict, eps: float):
 # builders
 
 def _growth_fn(spec):
-    _check_keys("growth", spec, _KEYS["growth"], "model.growth")
+    _check_keys(spec, _KEYS["growth"], "model.growth")
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return constant_growth(float(spec["rate"])), float(spec["rate"])
@@ -160,9 +160,10 @@ def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
     mcfg = cfg["model"]
     M, d = int(mcfg["M"]), int(mcfg.get("dim", 1))
     kcfg = mcfg.get("kernels") or {}
-    if not set(kcfg) <= {"G", "H", "C", "gamma"}:
-        raise ConfigError(f"model.kernels: unknown entries "
-                          f"{sorted(set(kcfg) - {'G', 'H', 'C', 'gamma'})}")
+    _check_keys(kcfg, _KEYS["kernels"], "model.kernels")
+    # gamma, the mollifier base of the Dirac study, is read by mollified_C
+    _check_keys(kcfg.get("gamma") or {}, _KEYS["gamma"],
+                "model.kernels.gamma")
     G = _kernel_matrix(kcfg.get("G"), M, d)
     H = _kernel_matrix(kcfg.get("H"), M, d)
     C = C_kernels if C_kernels is not None else _kernel_matrix(kcfg.get("C"), M, d)
@@ -186,9 +187,8 @@ def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
             raise ConfigError("model.growth must list one entry per species")
         fns, bounds = zip(*[_growth_fn(g) for g in growth])
         model.growth_fns = list(fns)
-        model.growth_bounds = [float(b) if mcfg.get("rbar") is None else rb
-                               for b, rb in zip(bounds, model.growth_bounds)] \
-            if mcfg.get("rbar") is not None else list(map(float, bounds))
+        if mcfg.get("rbar") is None:
+            model.growth_bounds = list(map(float, bounds))
     return model
 
 

@@ -18,13 +18,19 @@ integrated both from the Jacobian matrix and from its own scalar SDE
 (Stratonovich divergence form, integrated here in Ito form); the two
 routes must agree along paths.
 
+The coefficients are those of a PDE solution, FrozenCoefficients.from_pde.
+The path functions read them only through its methods sigma_eff, drift,
+fk_rate, check_spacing and domain_scale, and feynman_kac_functional also
+reads the initial grid fields[0]; any object with these members can stand
+in for it.
+
 Coefficient derivatives are central finite differences: coefficients are
-compositions with convolved fields, not closed forms.  On a PDE solution
-the convolutions k * u^j of the smooth kernels are tabulated once per
-snapshot on a lattice over the padded box (FFT grid convolutions with
-cached kernel spectra) and read back through C^2 cubic splines, so the
-nested differences of the inverse flow stay meaningful; in time they blend
-linearly between snapshots, which is exact because convolution is linear.
+compositions with convolved fields, not closed forms.  The convolutions
+k * u^j of the smooth kernels are tabulated once per snapshot on a lattice
+over the padded box (FFT grid convolutions with cached kernel spectra) and
+read back through C^2 cubic splines, so the nested differences of the
+inverse flow stay meaningful; in time they blend linearly between
+snapshots, which is exact because convolution is linear.
 """
 
 from __future__ import annotations
@@ -122,30 +128,21 @@ class ConvolutionTable:
 
 
 class FrozenCoefficients:
-    """Time-indexed coefficient fields sigma(i,t,x), b(i,t,x).
+    """Coefficients sigma(i,t,x), b(i,t,x) and the Feynman-Kac rate of the
+    flow frozen on a PDE solution, blended linearly in time between its
+    snapshots.
 
-    Built either from a PDE solution (the coefficients of the limit flow)
-    or from explicit callables for synthetic tests.  Linear interpolation
-    in time between stored snapshots.  From a PDE solution, every
-    Gaussian or compact-bump kernel of G, H and C is read from a
+    Every Gaussian or compact-bump kernel of G, H and C is read from a
     ConvolutionTable; constant and tabulated kernels, and query points
     beyond a table's lattice, take the exact quadrature of convolve_field.
     """
 
-    def __init__(self, model: CoefficientModel, times=None, fields=None,
-                 sigma_fn=None, drift_fn=None, rate_fn=None,
-                 density0=None):
+    def __init__(self, model: CoefficientModel, times, fields: list):
         self.model = model
         self.noise_scale = model.noise_scale
-        self._sigma_fn = sigma_fn
-        self._drift_fn = drift_fn
-        self._rate_fn = rate_fn
-        self._density0 = density0
-        self.times = None if times is None else np.asarray(times, float)
+        self.times = np.asarray(times, float)
         self.fields = fields
         self.tables = {}     # (kernel, species j) -> ConvolutionTable
-
-    # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_pde(cls, model: CoefficientModel,
@@ -154,7 +151,7 @@ class FrozenCoefficients:
         if times.size < 1:
             raise ValueError("PDE solution has no snapshots")
         fields = list(solution.snapshots)
-        coeffs = cls(model, times=times, fields=fields)
+        coeffs = cls(model, times, fields)
         for kmat in (model.G, model.H, model.C):
             for row in kmat or []:
                 for j, k in enumerate(row):
@@ -164,29 +161,13 @@ class FrozenCoefficients:
                             k, fields, j, *lattice)
         return coeffs
 
-    @classmethod
-    def from_callables(cls, model: CoefficientModel, sigma_fn, drift_fn,
-                       rate_fn=None, density0=None) -> "FrozenCoefficients":
-        """sigma_fn(i, t, X)->(n,d,d); drift_fn(i, t, X)->(n,d)."""
-        return cls(model, sigma_fn=sigma_fn, drift_fn=drift_fn,
-                   rate_fn=rate_fn, density0=density0)
-
     # -- time handling ---------------------------------------------------
 
-    @property
-    def time_varying(self) -> bool:
-        return self.times is not None and self.times.size > 1
-
-    @property
-    def max_spacing(self) -> float:
-        if not self.time_varying:
-            return 0.0
-        return float(np.max(np.diff(self.times)))
-
     def check_spacing(self, dt: float):
-        if self.time_varying and self.max_spacing > 10.0 * dt + 1e-12:
+        spacing = float(np.max(np.diff(self.times), initial=0.0))
+        if spacing > 10.0 * dt + 1e-12:
             raise ValueError(
-                f"snapshot spacing {self.max_spacing:g} exceeds 10 dt = "
+                f"snapshot spacing {spacing:g} exceeds 10 dt = "
                 f"{10 * dt:g}; store denser PDE snapshots")
 
     def _time_weights(self, t: float) -> list:
@@ -230,9 +211,6 @@ class FrozenCoefficients:
 
     def sigma(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        if self._sigma_fn is not None:
-            return np.asarray(self._sigma_fn(i, t, X), float).reshape(
-                X.shape[0], self.model.d, self.model.d)
         return self.model.eval_sigma(i, X, self._v_args(self.model.G, i, t, X))
 
     def sigma_eff(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
@@ -240,16 +218,11 @@ class FrozenCoefficients:
 
     def drift(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        if self._drift_fn is not None:
-            return np.asarray(self._drift_fn(i, t, X), float).reshape(
-                X.shape[0], self.model.d)
         return self.model.eval_drift(i, X, self._v_args(self.model.H, i, t, X))
 
     def fk_rate(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
         """r_i(x) - sum_j C^ij * xi^j_t(x), the Feynman-Kac exponent rate."""
         X = np.atleast_2d(X)
-        if self._rate_fn is not None:
-            return np.asarray(self._rate_fn(i, t, X), float).reshape(X.shape[0])
         r = self.model.eval_growth(i, X)
         if self.model.C is not None:
             for j in range(self.model.M):
@@ -260,16 +233,8 @@ class FrozenCoefficients:
                 r = r - self.model.comp[i, j] * u.interpolate(j, X)
         return r
 
-    def initial_density(self, i: int, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        if self._density0 is not None:
-            return np.asarray(self._density0(i, X), float).reshape(X.shape[0])
-        return self.fields[0].interpolate(i, X)
-
     def domain_scale(self) -> float:
-        if self.fields is not None:
-            return float(np.max(self.fields[0].hi - self.fields[0].lo))
-        return 1.0
+        return float(np.max(self.fields[0].hi - self.fields[0].lo))
 
 
 # ---------------------------------------------------------------------
@@ -516,10 +481,10 @@ def feynman_kac_functional(coeffs: FrozenCoefficients, model: CoefficientModel,
 
 def density_estimate(coeffs: FrozenCoefficients, model: CoefficientModel,
                      i: int, y: np.ndarray, t: float, n_paths: int,
-                     dt: float, rng: np.random.Generator,
-                     density0=None):
+                     dt: float, rng: np.random.Generator, density0):
     """Monte-Carlo density xi^i_t(y) from the inverse-flow identity.
 
+    density0(X) is the initial density xi^i_0 at a batch of points.
     Returns (values, stderrs) arrays over the query batch: the mean of
     exp{int fk_rate along eta} * xi0(eta_{0,t}(y)) * det grad eta_{0,t}(y).
     """
@@ -535,50 +500,9 @@ def density_estimate(coeffs: FrozenCoefficients, model: CoefficientModel,
         rates[k] = coeffs.fk_rate(i, t - inv.times[k], inv.paths[k])
     integral = h * (0.5 * rates[0] + rates[1:-1].sum(axis=0) + 0.5 * rates[-1]) \
         if m >= 1 else np.zeros(yy.shape[0])
-    if density0 is None:
-        xi0 = coeffs.initial_density(i, inv.eta0)
-    else:
-        xi0 = np.asarray(density0(inv.eta0), dtype=float).reshape(-1)
+    xi0 = np.asarray(density0(inv.eta0), dtype=float).reshape(-1)
     psi = np.exp(integral) * xi0 * inv.det_matrix[-1]
     psi = psi.reshape(nq, n_paths)
     vals = psi.mean(axis=1)
     errs = psi.std(axis=1, ddof=1) / math.sqrt(n_paths)
     return vals, errs
-
-
-# ---------------------------------------------------------------------
-# semigroup diagnostics
-
-@dataclass
-class SemigroupReport:
-    lipschitz: list      # per test function: empirical Lip of P_{s,t} phi
-    gaps: list           # per test function: sup_x |P phi - P~ phi|
-    probe_points: np.ndarray
-
-
-def semigroup_perturbation_check(coeffs: FrozenCoefficients,
-                                 coeffs_alt: FrozenCoefficients,
-                                 phis: list, s: float, t: float,
-                                 x_probe: np.ndarray, dt: float,
-                                 n_paths: int,
-                                 rng: np.random.Generator) -> SemigroupReport:
-    """Common-noise estimate of semigroup Lipschitz constants and gaps."""
-    x_probe = np.atleast_2d(np.asarray(x_probe, dtype=float))
-    nq, d = x_probe.shape
-    xx = np.repeat(x_probe, n_paths, axis=0)
-    m = max(1, int(round((t - s) / dt)))
-    h = (t - s) / m
-    inc = rng.standard_normal((m, xx.shape[0], d)) * math.sqrt(h)
-    f1 = forward_flow(coeffs, 0, s, t, xx, dt, increments=inc)
-    f2 = forward_flow(coeffs_alt, 0, s, t, xx, dt, increments=inc)
-    lips, gaps = [], []
-    for phi in phis:
-        p1 = np.asarray(phi(f1.terminal), float).reshape(nq, n_paths).mean(axis=1)
-        p2 = np.asarray(phi(f2.terminal), float).reshape(nq, n_paths).mean(axis=1)
-        diff = np.abs(p1[:, None] - p1[None, :])
-        dist = np.sqrt(np.sum((x_probe[:, None, :] - x_probe[None, :, :]) ** 2,
-                              axis=2))
-        mask = dist > 1e-12
-        lips.append(float(np.max(diff[mask] / dist[mask])) if mask.any() else 0.0)
-        gaps.append(float(np.max(np.abs(p1 - p2))))
-    return SemigroupReport(lips, gaps, x_probe)

@@ -134,30 +134,6 @@ class KernelSpec:
             return float(self.table[0][-1])
         return math.inf
 
-    def lipschitz_estimate(self, n_probe: int = 4096, seed: int = 0) -> float:
-        """Sampled difference-quotient bound for the Lipschitz constant."""
-        if self.family == "constant":
-            return 0.0
-        rad = self.support_radius * 1.2
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-rad, rad, size=(n_probe, self.dim))
-        h = 1e-5 * rad
-        quot = 0.0
-        for axis in range(self.dim):
-            dx = np.zeros(self.dim)
-            dx[axis] = h
-            d = np.abs(self.evaluate_batch(x + dx) - self.evaluate_batch(x - dx))
-            quot = max(quot, float(np.max(d)) / (2.0 * h))
-        return quot
-
-
-def evaluate(k: KernelSpec, x) -> float:
-    """Evaluate the kernel at a single d-vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("kernel argument must be finite")
-    return float(k.evaluate_batch(x[None, :])[0])
-
 
 def tabulated_from_csv(path, dim: int, amplitude: float = 1.0) -> KernelSpec:
     """Load a tabulated kernel from a two-column CSV (abscissa, value)."""
@@ -182,17 +158,6 @@ def kernel_mass(k: KernelSpec, n: int = 4001) -> float:
     r = np.linspace(0.0, rad, n)
     vals = k._eval_radius2(r * r)
     return float(np.trapezoid(2.0 * math.pi * r * vals, r))
-
-
-def first_abs_moment(k: KernelSpec, n: int = 4001) -> float:
-    """Quadrature of |x| k(x) dx over the truncation box."""
-    rad = k.support_radius
-    if k.dim == 1:
-        x = np.linspace(-rad, rad, n)[:, None]
-        return float(np.trapezoid(np.abs(x[:, 0]) * k.evaluate_batch(x), x[:, 0]))
-    r = np.linspace(0.0, rad, n)
-    vals = k._eval_radius2(r * r)
-    return float(np.trapezoid(2.0 * math.pi * r * r * vals, r))
 
 
 def mollifier(gamma: KernelSpec, eps: float) -> KernelSpec:

@@ -1,4 +1,4 @@
-"""Bounded-Lipschitz (flat) distances, moments and rate fits.
+"""Bounded-Lipschitz (flat) distances and rate fits.
 
 The dual norm sup{ <eta, phi> : Lip(phi) + sup|phi| <= 1 } is computed on
 the union support as a single linear program with the budget split between
@@ -63,27 +63,11 @@ class DiscreteMeasure:
         keep = w != 0.0
         return cls(u.centers()[keep], w[keep])
 
-    def scaled(self, c: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.points, c * self.weights)
-
 
 @dataclass
 class BLResult:
     value: float
     certificate: dict = field(default_factory=dict)
-
-
-def total_mass(mu: DiscreteMeasure) -> float:
-    return float(mu.weights.sum())
-
-
-def moments(mu: DiscreteMeasure, order: int) -> np.ndarray:
-    """Per-axis weighted sums of x_k^order; order in {0, 1, 2, 4}."""
-    if order not in (0, 1, 2, 4):
-        raise ValueError("order must be one of 0, 1, 2, 4")
-    if order == 0:
-        return np.full(mu.points.shape[1], total_mass(mu))
-    return mu.weights @ mu.points ** order
 
 
 # ---------------------------------------------------------------------

@@ -181,21 +181,6 @@ def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
                             noise_scale=noise_scale, family=family)
 
 
-def tabulated_sigma(table_x: np.ndarray, table_v: np.ndarray, d: int):
-    """Isotropic sigma from a 1-d table in the first coordinate.
-
-    Linear interpolation, clamped to the end values; no runtime code loading.
-    """
-    tx = np.asarray(table_x, dtype=float)
-    tv = np.asarray(table_v, dtype=float)
-    eye = np.eye(d)
-
-    def fn(x, v):
-        amp = np.interp(x[:, 0], tx, tv)
-        return amp[:, None, None] * eye[None, :, :]
-    return fn
-
-
 # ---------------------------------------------------------------------
 # statistical validation of the standing assumptions
 

@@ -98,12 +98,8 @@ def _d2_cross(F: np.ndarray, hx: float, hy: float) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel"):
-    """Right-hand side arrays (M, *shape) and the grid sup of a_eff."""
-    return _rhs(u, model, mode)[:2]
-
-
-def _rhs(u: GridField, model: CoefficientModel, mode: str):
-    """rhs, plus the rates max_k max|b_k| / h_k and max|r - death|."""
+    """Right-hand side arrays (M, *shape), the grid sup of a_eff, and the
+    rates max_k max|b_k| / h_k and max|r - death| of the stability bounds."""
     M, d = model.M, model.d
     if u.n_species != M or u.dim != d:
         raise ValueError("field does not match the model dimensions")
@@ -159,7 +155,7 @@ def _check_cfl(dt: float, u: GridField, a_sup: float, b_rate: float,
 def step(u: GridField, model: CoefficientModel, dt: float,
          mode: str = "kernel", cfl_safety: float = 0.9):
     """One explicit Euler step; returns (new field, clamped mass)."""
-    dudt, *rates = _rhs(u, model, mode)
+    dudt, *rates = rhs(u, model, mode)
     _check_cfl(dt, u, *rates, cfl_safety)
     new = u.values + dt * dudt
     clamped = float(-np.minimum(new, 0.0).sum() * u.cell_volume)

@@ -16,8 +16,6 @@ INIT = 0
 DIFFUSE = 1
 DEMOGRAPHY = 2
 EVENT = 3
-PATHS = 4
-PROBE = 5
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -174,29 +174,30 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     lo, hi, shape = grid_box(cfg)
     u0 = project_to_grid(init, lo, hi, shape)
     h = _cache_key(cfg)
+    keys = [_cache_key("dirac", h, eps) for eps in eps_list]
+    sups = [_cache_load(out_dir, key, resume) for key in keys]
+    todo = [n for n, hit in enumerate(sups) if hit is None]
+    if todo:    # only a fresh sub-run reads the local-mode solution
+        sol_loc = pde.solve(build_model(cfg), u0,
+                            solver_params(cfg, mode="local"))
 
-    model_loc = build_model(cfg)
-    sol_loc = pde.solve(model_loc, u0, solver_params(cfg, mode="local"))
-
-    def one(eps):
-        key = _cache_key("dirac", h, eps)
-        hit = _cache_load(out_dir, key, resume)
-        if hit is not None:
-            return float(hit)
-        C = mollified_C(cfg, math.sqrt(eps))
+    def one(n):
+        C = mollified_C(cfg, math.sqrt(eps_list[n]))
         model = build_model(cfg, C_kernels=C)
         sol = pde.solve(model, u0, solver_params(cfg, mode="kernel"))
         sup = 0.0
         for snap_loc, snap in zip(sol_loc.snapshots, sol.snapshots):
             sup = max(sup, bl_distance_fields(snap, snap_loc, seed=seed))
-        _cache_store(out_dir, key, sup)
+        _cache_store(out_dir, keys[n], sup)
         return sup
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            sups = list(pool.map(one, eps_list))
+            fresh = list(pool.map(one, todo))
     else:
-        sups = [one(e) for e in eps_list]
+        fresh = [one(n) for n in todo]
+    for n, sup in zip(todo, fresh):
+        sups[n] = sup
 
     fit = rate_fit(list(zip(eps_list, sups)), seed=seed)
     ok = abs(fit.slope - 1.0) <= 0.3

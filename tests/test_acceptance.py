@@ -8,11 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from _coefficients import synthetic_coeffs
 from scipy.integrate import solve_ivp
 
 from crossdiff import ibm, pde
-from crossdiff.flow import (FrozenCoefficients, compose_inverse_forward,
-                            inverse_flow)
+from crossdiff.flow import compose_inverse_forward, inverse_flow
 from crossdiff.ibm import SimParams
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import KernelSpec
@@ -156,15 +156,6 @@ def test_criterion_05_dirac_competition_rate(tmp_path):
             f"band {rep.summary['slope_band']}")
 
 
-def synthetic_coeffs():
-    m = builtin_model("constant-coefficients", 1, 1, sigma0=0.3,
-                      noise_scale=1.0)
-    return FrozenCoefficients.from_callables(
-        m,
-        sigma_fn=lambda i, t, X: (0.3 + 0.1 * np.sin(X[:, 0]))[:, None, None],
-        drift_fn=lambda i, t, X: 0.1 * np.cos(X[:, 0:1]))
-
-
 def test_criterion_06_flow_inverse_identity():
     c = synthetic_coeffs()
     y = np.linspace(-0.5, 0.5, 16)[:, None]
@@ -201,15 +192,7 @@ def test_criterion_07_jacobian_consistency():
                              / np.abs(inv.det_matrix))))
     all_pos &= bool(np.all(inv.det_matrix > 0) and np.all(inv.det_sde > 0))
 
-    m2 = builtin_model("constant-coefficients", 1, 2, sigma0=0.3,
-                       noise_scale=1.0)
-    eye = np.eye(2)
-    c2 = FrozenCoefficients.from_callables(
-        m2,
-        sigma_fn=lambda i, t_, X: (0.3 + 0.1 * np.sin(X[:, 0])
-                                   * np.cos(X[:, 1]))[:, None, None]
-        * eye[None, :, :],
-        drift_fn=lambda i, t_, X: 0.1 * np.cos(X))
+    c2 = synthetic_coeffs(d=2)
     y2 = np.random.default_rng(24).uniform(-1, 1, size=(8, 2))
     inv2 = inverse_flow(c2, 0, 0.4, y2, dt=2e-3,
                         rng=np.random.default_rng(25))

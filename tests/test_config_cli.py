@@ -69,6 +69,16 @@ def test_unknown_kernel_key(tmp_path):
         build_model(load_config(write_cfg(tmp_path, cfg)))
 
 
+@pytest.mark.parametrize("key", ["bandwdith", "amplitude"])
+def test_gamma_takes_only_its_family(tmp_path, key):
+    # the mollifier base has unit bandwidth and mass: any other key is
+    # an error, not silently ignored
+    cfg = base_cfg()
+    cfg["model"]["kernels"]["gamma"] = {"family": "gaussian", key: 3.0}
+    with pytest.raises(ConfigError, match=key):
+        build_model(load_config(write_cfg(tmp_path, cfg)))
+
+
 @pytest.mark.parametrize("section,key", [("flow", "dt_list"),
                                          ("outputs", "formats")])
 def test_unread_keys_rejected(tmp_path, section, key):
@@ -137,8 +147,8 @@ def test_tabulated_kernel_from_config(tmp_path):
     cfg["model"]["kernels"]["G"] = {"family": "tabulated",
                                     "path": str(tmp_path / "tab.csv")}
     model = build_model(load_config(write_cfg(tmp_path, cfg)))
-    from crossdiff.kernels import evaluate
-    assert evaluate(model.G[0][0], [0.5]) == pytest.approx(0.5, abs=1e-9)
+    assert model.G[0][0].evaluate_batch([0.5])[0] == pytest.approx(0.5,
+                                                                  abs=1e-9)
 
 
 def test_mollified_competition_matrix(tmp_path):
@@ -147,6 +157,12 @@ def test_mollified_competition_matrix(tmp_path):
     from crossdiff.kernels import kernel_mass
     # mass of c * gamma_eps is the competition constant
     assert kernel_mass(C[0][0]) == pytest.approx(0.5, rel=1e-4)
+    assert (C[0][0].family, C[0][0].bandwidth) == ("gaussian", 0.2)
+    cfg["model"]["kernels"]["gamma"] = {"family": "compact-bump"}
+    assert mollified_C(cfg, eps=0.2)[0][0].family == "compact-bump"
+    del cfg["model"]["comp"]
+    with pytest.raises(ConfigError, match="M x M 'comp' matrix"):
+        mollified_C(cfg, eps=0.2)
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +306,13 @@ def test_cli_out_falls_back_to_outputs_directory(tmp_path, monkeypatch,
     assert cli.main(["solve-pde", "--config", path,
                      "--out", "flag"]) == cli.EXIT_OK
     assert (tmp_path / "flag" / "pde_manifest.json").exists()
+    # report reads the same directory
+    capsys.readouterr()
+    assert cli.main(["report", "--config", path]) == cli.EXIT_OK
+    assert "from_cfg" not in capsys.readouterr().err
+    os.remove(tmp_path / "from_cfg" / "pde_manifest.json")
+    assert cli.main(["report", "--config", path]) == cli.EXIT_USAGE
+    assert "no manifests under from_cfg" in capsys.readouterr().err
     # neither given: out
     path = write_cfg(tmp_path, base_cfg(), "plain.yaml")
     assert cli.main(["solve-pde", "--config", path]) == cli.EXIT_OK
@@ -375,9 +398,43 @@ def test_cli_study_dirac_identical_across_workers_and_resume(tmp_path,
                                "--out", str(tmp_path / out)] + extra))
         tables.append((tmp_path / out / "dirac.csv").read_bytes())
         assert (tmp_path / out / "study_dirac_manifest.json").exists()
-    # the resumed run reads every kernel-mode distance from the cache
-    assert solves == ["local"]
+    # the resumed run reads every distance from the cache and solves nothing
+    assert solves == []
     assert codes[0] in (cli.EXIT_OK, cli.EXIT_CHECK)
     assert codes == [codes[0]] * 3
     assert tables[0] == tables[1] == tables[2]
     assert tables[0].count(b"\n") == 4
+
+
+def study_cfg(verb):
+    """Tiny configs for the other study verbs, about a second each."""
+    cfg = base_cfg()
+    cfg["pde"].update({"cells": 32, "dt": 0.005, "t_end": 0.1,
+                       "snapshot_times": [0.0, 0.1]})
+    if verb == "study-large-k":
+        cfg["ibm"].update({"K": [20, 40, 80], "dt": 0.05, "t_end": 0.1,
+                           "replicas": 2, "snapshot_times": [0.1]})
+    elif verb == "study-flow":
+        cfg["flow"] = {"t": 0.05, "dt": 0.005, "n_paths": 8}
+    else:
+        cfg["uniqueness"] = {"deltas": [0.2, 0.1]}
+    return cfg
+
+
+@pytest.mark.parametrize("verb,table", [("study-large-k", "large_k.csv"),
+                                        ("study-flow", "flow_density.csv"),
+                                        ("study-uniqueness",
+                                         "uniqueness.csv")])
+def test_cli_study_identical_across_workers_and_resume(tmp_path, capsys,
+                                                       verb, table):
+    path = write_cfg(tmp_path, study_cfg(verb))
+    codes, tables = [], []
+    for out, extra in (("w1", ["--workers", "1"]), ("w2", ["--workers", "2"]),
+                       ("w2", ["--workers", "2", "--resume"])):
+        codes.append(cli.main([verb, "--config", path,
+                               "--out", str(tmp_path / out)] + extra))
+        tables.append((tmp_path / out / table).read_bytes())
+    assert codes[0] in (cli.EXIT_OK, cli.EXIT_CHECK)
+    assert codes == [codes[0]] * 3
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[0].count(b"\n") > 1

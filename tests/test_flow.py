@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from _coefficients import CallableCoefficients, synthetic_coeffs
 
 from crossdiff.config import (build_initial, build_model, grid_box,
                               solver_params)
 from crossdiff.flow import (FlowError, FrozenCoefficients,
                             compose_inverse_forward, density_estimate,
                             feynman_kac_functional, forward_flow,
-                            inverse_flow, semigroup_perturbation_check)
+                            inverse_flow)
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import KernelSpec, convolve_field, convolve_field_grid
@@ -17,27 +18,17 @@ from crossdiff.pde import PDESolution, SolverParams, solve
 from crossdiff.studies import frozen_flow
 
 
-def const_coeffs(sigma=0.3, drift=0.1, rate=None, noise_scale=1.0, d=1):
+def const_coeffs(sigma=0.3, drift=0.1, rate=0.0, noise_scale=1.0, d=1,
+                 fields=None):
     m = builtin_model("constant-coefficients", 1, d, sigma0=sigma,
                       noise_scale=noise_scale)
     eye = np.eye(d)
-    return FrozenCoefficients.from_callables(
+    return CallableCoefficients(
         m,
         sigma_fn=lambda i, t, X: np.broadcast_to(sigma * eye,
                                                  (X.shape[0], d, d)),
         drift_fn=lambda i, t, X: np.full((X.shape[0], d), drift),
-        rate_fn=(None if rate is None
-                 else lambda i, t, X: np.full(X.shape[0], rate)))
-
-
-def synthetic_coeffs(noise_scale=1.0):
-    # smooth nonconstant coefficients for the composition/Jacobian checks
-    m = builtin_model("constant-coefficients", 1, 1, sigma0=0.3,
-                      noise_scale=noise_scale)
-    return FrozenCoefficients.from_callables(
-        m,
-        sigma_fn=lambda i, t, X: (0.3 + 0.1 * np.sin(X[:, 0]))[:, None, None],
-        drift_fn=lambda i, t, X: 0.1 * np.cos(X[:, 0:1]))
+        rate_fn=lambda i, t, X: np.full(X.shape[0], rate), fields=fields)
 
 
 def test_forward_deterministic_translation():
@@ -87,17 +78,7 @@ def test_inverse_det_routes_agree_1d():
 
 
 def test_inverse_det_routes_agree_2d():
-    m = builtin_model("constant-coefficients", 1, 2, sigma0=0.3,
-                      noise_scale=1.0)
-    eye = np.eye(2)
-
-    def sigma_fn(i, t, X):
-        amp = 0.3 + 0.1 * np.sin(X[:, 0]) * np.cos(X[:, 1])
-        return amp[:, None, None] * eye[None, :, :]
-
-    c = FrozenCoefficients.from_callables(
-        m, sigma_fn=sigma_fn,
-        drift_fn=lambda i, t, X: 0.1 * np.cos(X))
+    c = synthetic_coeffs(d=2)
     y = np.random.default_rng(0).uniform(-1, 1, size=(6, 2))
     inv = inverse_flow(c, 0, 0.4, y, dt=0.002, rng=np.random.default_rng(4))
     gap = np.max(np.abs(inv.det_matrix - inv.det_sde)
@@ -150,17 +131,10 @@ def test_feynman_kac_mass_no_reaction():
 
 def test_feynman_kac_constant_rate():
     # frozen coefficients with sigma = b = 0 and rate r: e^{rt} * mass
-    m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, r=0.5)
     u0 = project_to_grid([InitialCondition(1.0, "gaussian", std=0.7)],
                          [-6.0], [6.0], [96])
-    c = FrozenCoefficients.from_callables(
-        m,
-        sigma_fn=lambda i, t, X: np.zeros((X.shape[0], 1, 1)),
-        drift_fn=lambda i, t, X: np.zeros((X.shape[0], 1)),
-        rate_fn=lambda i, t, X: np.full(X.shape[0], 0.5))
-    c.times = np.array([0.0])
-    c.fields = [u0]
-    est = feynman_kac_functional(c, m, lambda x: np.ones(x.shape[0]),
+    c = const_coeffs(sigma=0.0, drift=0.0, rate=0.5, fields=[u0])
+    est = feynman_kac_functional(c, c.model, lambda x: np.ones(x.shape[0]),
                                  0, 1.0, n_paths=8, dt=0.01,
                                  rng=np.random.default_rng(8))
     assert est.value == pytest.approx(math.exp(0.5), rel=1e-6)
@@ -208,25 +182,13 @@ def test_from_pde_spacing_check():
 
 def test_forward_flow_guard_raises_on_blowup():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0)
-    c = FrozenCoefficients.from_callables(
+    c = CallableCoefficients(
         m,
         sigma_fn=lambda i, t, X: np.zeros((X.shape[0], 1, 1)),
         drift_fn=lambda i, t, X: X ** 3)
     with pytest.raises(FlowError):
         forward_flow(c, 0, 0.0, 5.0, [[4.0]], dt=0.05,
                      rng=np.random.default_rng(0))
-
-
-def test_semigroup_identical_coefficients_zero_gap():
-    c = synthetic_coeffs()
-    phis = [lambda x: np.tanh(x[:, 0]), lambda x: np.ones(x.shape[0])]
-    rep = semigroup_perturbation_check(
-        c, c, phis, 0.0, 0.4, np.linspace(-1, 1, 6)[:, None],
-        dt=0.01, n_paths=32, rng=np.random.default_rng(11))
-    assert rep.gaps[0] == pytest.approx(0.0, abs=1e-12)
-    # constant test function: zero empirical Lipschitz constant
-    assert rep.lipschitz[1] == pytest.approx(0.0, abs=1e-12)
-    assert rep.lipschitz[0] >= 0.0
 
 
 # ----------------------------------------------------------------------

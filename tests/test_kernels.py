@@ -11,27 +11,26 @@ from crossdiff import kernels
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import (EmpiricalMeasure, KernelSpec, convolve_empirical,
-                               convolve_field, convolve_field_grid, evaluate,
-                               first_abs_moment, kernel_mass, mollifier,
-                               tabulated_from_csv)
+                               convolve_field, convolve_field_grid,
+                               kernel_mass, mollifier, tabulated_from_csv)
 
 PHI = 1.0 / math.sqrt(2.0 * math.pi)   # standard normal density at 0
 
 
 def test_evaluate_gaussian_at_mode():
     k = KernelSpec("gaussian", 1, bandwidth=1.0)
-    assert evaluate(k, [0.0]) == pytest.approx(0.398942, abs=1e-6)
+    assert k.evaluate_batch([0.0])[0] == pytest.approx(0.398942, abs=1e-6)
 
 
 def test_evaluate_constant():
     k = KernelSpec("constant", 2, amplitude=1.0)
-    assert evaluate(k, [3.0, -7.0]) == 1.0
+    assert k.evaluate_batch([3.0, -7.0])[0] == 1.0
 
 
 def test_evaluate_bump_outside_support():
     k = KernelSpec("compact-bump", 1, bandwidth=0.5)
-    assert evaluate(k, [0.51]) == 0.0
-    assert evaluate(k, [0.49]) > 0.0
+    assert k.evaluate_batch([0.51])[0] == 0.0
+    assert k.evaluate_batch([0.49])[0] > 0.0
 
 
 def test_kernel_nonnegative_on_lattice():
@@ -41,17 +40,6 @@ def test_kernel_nonnegative_on_lattice():
         vals = k.evaluate_batch(x)
         assert np.all(vals >= 0)
         assert np.max(vals) <= k.sup_bound + 1e-12
-
-
-def test_lipschitz_estimate_gaussian():
-    # analytic Lipschitz constant of the N(0, eps^2) density:
-    # max |k'| = exp(-1/2) / (sqrt(2 pi) eps^2)
-    eps = 0.8
-    k = KernelSpec("gaussian", 1, bandwidth=eps)
-    exact = math.exp(-0.5) / (math.sqrt(2 * math.pi) * eps ** 2)
-    est = k.lipschitz_estimate()
-    assert est <= exact * 1.001
-    assert est >= exact * 0.8
 
 
 def test_convolve_empirical_constant_is_mass():
@@ -341,23 +329,24 @@ def test_mollifier_identity_at_eps_one():
 
 
 def test_mollifier_scaling_at_origin():
+    # gamma_eps(0) = gamma(0) / eps, and the first absolute moment of
+    # gamma_eps is eps times that of gamma
     g = KernelSpec("gaussian", 1, bandwidth=1.0)
-    assert evaluate(mollifier(g, 0.5), [0.0]) == pytest.approx(2 * PHI,
-                                                               rel=1e-9)
+    assert mollifier(g, 0.5).evaluate_batch([0.0])[0] == pytest.approx(
+        2 * PHI, rel=1e-9)
+    x = np.linspace(-6.0, 6.0, 4001)
+
+    def first_abs_moment(k):
+        return np.trapezoid(np.abs(x) * k.evaluate_batch(x[:, None]), x)
+    for eps in (0.5, 0.25):
+        assert first_abs_moment(mollifier(g, eps)) == pytest.approx(
+            eps * first_abs_moment(g), rel=0.01)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
 def test_mollifier_mass_invariance(eps):
     g = KernelSpec("gaussian", 1, bandwidth=1.0)
     assert kernel_mass(mollifier(g, eps)) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_mollifier_first_moment_scales():
-    g = KernelSpec("gaussian", 1, bandwidth=1.0)
-    m1 = first_abs_moment(g)
-    for eps in (0.5, 0.25):
-        assert first_abs_moment(mollifier(g, eps)) == pytest.approx(
-            eps * m1, rel=0.01)
 
 
 def test_mollifier_rejects_bad_input():
@@ -374,16 +363,16 @@ def test_tabulated_from_csv(tmp_path):
     path = tmp_path / "tab.csv"
     np.savetxt(path, np.column_stack([r, vals]), delimiter=",")
     k = tabulated_from_csv(str(path), 1)
-    assert evaluate(k, [0.0]) == pytest.approx(1.0)
-    assert evaluate(k, [0.5]) == pytest.approx(0.5, abs=1e-9)
-    assert evaluate(k, [2.0]) == 0.0        # clamped outside the table
+    assert k.evaluate_batch([0.0])[0] == pytest.approx(1.0)
+    assert k.evaluate_batch([0.5])[0] == pytest.approx(0.5, abs=1e-9)
+    assert k.evaluate_batch([2.0])[0] == 0.0        # clamped outside the table
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.2, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_kernel_symmetry_and_nonnegativity(eps, x, y):
     k = KernelSpec("gaussian", 1, bandwidth=eps)
-    vx = evaluate(k, [x - y])
-    vy = evaluate(k, [y - x])
+    vx = k.evaluate_batch([x - y])[0]
+    vy = k.evaluate_batch([y - x])[0]
     assert vx == pytest.approx(vy, rel=1e-12)
     assert vx >= 0.0

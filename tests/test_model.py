@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from crossdiff.kernels import KernelSpec
 from crossdiff.model import (CoefficientModel, ProbeSpec, builtin_model,
-                             bump_growth, diffusion_matrix, tabulated_sigma,
-                             validate)
+                             bump_growth, diffusion_matrix, validate)
 
 
 def probe(d=1, lo=-3.0, hi=3.0, **kw):
@@ -73,12 +72,6 @@ def test_bump_growth_bounds():
     r = fn(x)
     assert np.all(r >= 0.3)
     assert np.max(r) == pytest.approx(1.3)
-
-
-def test_tabulated_sigma_interpolates():
-    fn = tabulated_sigma([0.0, 1.0], [0.2, 0.6], d=1)
-    s = fn(np.array([[0.5], [-3.0], [9.0]]), None)
-    np.testing.assert_allclose(s[:, 0, 0], [0.4, 0.2, 0.6])
 
 
 def test_validate_passes_constant_family():

@@ -21,7 +21,7 @@ def gaussian_field(mass=1.0, std=1.0, cells=160, half=7.0, M=1):
 def test_rhs_zero_for_zero_coefficients():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, r=0.0)
     u = gaussian_field()
-    dudt, a_sup = rhs(u, m)
+    dudt, a_sup, *_ = rhs(u, m)
     np.testing.assert_allclose(dudt, 0.0, atol=1e-14)
     assert a_sup == 0.0
 
@@ -29,7 +29,7 @@ def test_rhs_zero_for_zero_coefficients():
 def test_rhs_pure_growth_is_r_times_u():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, r=0.7)
     u = gaussian_field()
-    dudt, _ = rhs(u, m)
+    dudt, *_ = rhs(u, m)
     np.testing.assert_allclose(dudt[0], 0.7 * u.values[0], rtol=1e-12)
 
 
@@ -41,7 +41,7 @@ def test_rhs_laplacian_of_gaussian_second_order():
     for cells in (100, 200):
         u = gaussian_field(cells=cells, half=7.0)
         x = u.centers()[:, 0]
-        dudt, a_sup = rhs(u, m)
+        dudt, a_sup, *_ = rhs(u, m)
         exact = sigma0 ** 2 * (x ** 2 - 1.0) * np.exp(-0.5 * x ** 2) \
             / math.sqrt(2 * math.pi)
         errs.append(np.max(np.abs(dudt[0] - exact)))
@@ -294,7 +294,7 @@ def test_rhs_bit_equal_to_pairwise_reference(shape, mode, with_C):
              InitialCondition(0.9, "gaussian", mean=-0.3, std=0.9, dim=d)]
     u = project_to_grid(specs, [-4.0] * d, [4.0] * d, list(shape))
     model = _cross_model(d, with_C)
-    dudt, a_sup = rhs(u, model, mode)
+    dudt, a_sup, *_ = rhs(u, model, mode)
     ref, ref_sup = _reference_rhs(u, model, mode)
     assert np.array_equal(dudt, ref)
     assert a_sup == ref_sup
