@@ -329,11 +329,15 @@ def test_mollifier_identity_at_eps_one():
 
 
 def test_mollifier_scaling_at_origin():
-    # gamma_eps(0) = gamma(0) / eps, and the first absolute moment of
-    # gamma_eps is eps times that of gamma
+    # gamma_eps(0) = gamma(0) / eps
     g = KernelSpec("gaussian", 1, bandwidth=1.0)
     assert mollifier(g, 0.5).evaluate_batch([0.0])[0] == pytest.approx(
         2 * PHI, rel=1e-9)
+
+
+def test_mollifier_first_moment_scales():
+    # the first absolute moment of gamma_eps is eps times that of gamma
+    g = KernelSpec("gaussian", 1, bandwidth=1.0)
     x = np.linspace(-6.0, 6.0, 4001)
 
     def first_abs_moment(k):
