@@ -137,8 +137,10 @@ class FrozenCoefficients:
     beyond a table's lattice, take the exact quadrature of convolve_field.
     """
 
-    def __init__(self, model: CoefficientModel, times, fields: list):
+    def __init__(self, model: CoefficientModel, times, fields: list,
+                 mode: str):
         self.model = model
+        self.mode = mode     # the PDE's competition: "kernel" or "local"
         self.noise_scale = model.noise_scale
         self.times = np.asarray(times, float)
         self.fields = fields
@@ -151,8 +153,9 @@ class FrozenCoefficients:
         if times.size < 1:
             raise ValueError("PDE solution has no snapshots")
         fields = list(solution.snapshots)
-        coeffs = cls(model, times, fields)
-        for kmat in (model.G, model.H, model.C):
+        coeffs = cls(model, times, fields, solution.params.mode)
+        C = model.C if coeffs.mode == "kernel" else None
+        for kmat in (model.G, model.H, C):
             for row in kmat or []:
                 for j, k in enumerate(row):
                     lattice = _lattice(k, fields)
@@ -221,13 +224,15 @@ class FrozenCoefficients:
         return self.model.eval_drift(i, X, self._v_args(self.model.H, i, t, X))
 
     def fk_rate(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        """r_i(x) - sum_j C^ij * xi^j_t(x), the Feynman-Kac exponent rate."""
+        """r_i(x) - sum_j C^ij * xi^j_t(x), the Feynman-Kac exponent rate,
+        with the competition of the PDE's mode: the kernels C in kernel
+        mode (none if C is None), the constants comp in local mode."""
         X = np.atleast_2d(X)
         r = self.model.eval_growth(i, X)
-        if self.model.C is not None:
+        if self.mode == "kernel" and self.model.C is not None:
             for j in range(self.model.M):
                 r = r - self.convolved(self.model.C[i][j], j, t, X)
-        elif self.model.comp is not None:
+        elif self.mode == "local":
             u = self._field_at(t)
             for j in range(self.model.M):
                 r = r - self.model.comp[i, j] * u.interpolate(j, X)

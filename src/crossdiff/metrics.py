@@ -11,8 +11,21 @@ a Lipschitz cap `a` and a sup cap `b` (a + b <= 1) as explicit variables:
 Any feasible phi extends to all of R^d with the same Lipschitz constant
 (McShane) and sup (clipping), so on the support the LP is exact when the
 pair set is complete.  In d = 1 adjacent pairs of the sorted support are
-complete.  In higher dimension the LP starts from kNN + random pairs and
-adds violated pairs (cutting planes) until an exhaustive scan finds none.
+complete, and the LP value is returned.
+
+In higher dimension the LP starts from kNN + random pairs.  Its value on a
+partial pair set is an upper bound UB.  The McShane extensions of its phi,
+min_w [phi(w) + a|z - w|] and max_w [phi(w) - a|z - w|], with (phi, a, b)
+divided by max(1, a + b) and clipped to [-b, b], are exactly feasible, so
+the better of the two gives a lower bound LB (McShane, Bull. AMS 40, 1934).
+Violated pairs are added (cutting planes) only while the duality gap
+UB - LB exceeds GAP_TOL * ||eta||_1 (Kelley, J. SIAM 8, 1960); the value
+returned is LB, and the certificate phi is that extension, which is feasible
+and attains it.  A gap still open after CUT_ROUNDS rounds raises BLError.
+
+Every certificate records ub, lb and the cutting-plane rounds.  In d = 1 lb
+comes from an O(n) sweep over the sorted support and only checks the LP
+solver.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from .kernels import EmpiricalMeasure
 
 EXACT_LP_LIMIT = 50_000
 CUT_ROUNDS = 30
+GAP_TOL = 1e-7
 
 
 class BLError(RuntimeError):
@@ -77,11 +91,14 @@ def _signed_union(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Merged support of mu - nu with duplicate points combined."""
     if mu.points.shape[1] != nu.points.shape[1]:
         raise ValueError("measures live in different dimensions")
-    pts = np.vstack([mu.points, nu.points])
-    wts = np.concatenate([mu.weights, -nu.weights])
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    eta = np.zeros(uniq.shape[0])
-    np.add.at(eta, inverse.ravel(), wts)
+    uniq, inverse = np.unique(np.vstack([mu.points, nu.points]), axis=0,
+                              return_inverse=True)
+    inverse, n = inverse.ravel(), mu.points.shape[0]
+    # each side summed on its own, so swapping mu and nu negates eta exactly
+    emu, enu = np.zeros(uniq.shape[0]), np.zeros(uniq.shape[0])
+    np.add.at(emu, inverse[:n], mu.weights)
+    np.add.at(enu, inverse[n:], nu.weights)
+    eta = emu - enu
     order = np.lexsort(uniq.T[::-1])
     uniq, eta = uniq[order], eta[order]
     # canonical sign so bl(mu, nu) and bl(nu, mu) run bit-identically
@@ -152,41 +169,96 @@ def _solve_lp(points, eta, pairs):
 
 
 def _exact_lp(points, eta, rng) -> BLResult:
-    n = points.shape[0]
+    n, d = points.shape
     if n > EXACT_LP_LIMIT:
         raise ValueError(f"support size {n} exceeds exact-lp limit")
     pairs = _pair_set(points, rng)
-    value, phi, a, b = _solve_lp(points, eta, pairs)
-    if points.shape[1] > 1:
-        # cutting planes: add violated pair constraints until the exhaustive
-        # scan finds none (the sorted 1-d pair set is already complete)
-        rounds = 0
-        while (viol := _violated_pairs(points, phi, a)).shape[0]:
-            if rounds == CUT_ROUNDS:
-                raise BLError(f"BL constraints still violated after "
-                              f"{CUT_ROUNDS} cutting-plane rounds")
-            rounds += 1
+    tol = GAP_TOL * float(np.abs(eta).sum())
+    for rounds in range(CUT_ROUNDS + 1):
+        if rounds:
+            # cutting planes: add the pairs the last phi violates
+            viol = _violated_pairs(points, phi, a)
             pairs = np.unique(np.vstack([pairs, viol[:4 * n]]), axis=0)
-            value, phi, a, b = _solve_lp(points, eta, pairs)
-    cert = {"points": points, "phi": phi, "lip_budget": a, "sup_budget": b}
+        ub, phi, a, b = _solve_lp(points, eta, pairs)
+        lb, *test = _lower_bound(points, eta, phi, a, b)
+        if d == 1 or ub - lb <= tol:
+            break
+    else:
+        raise BLError(f"BL duality gap still open after {CUT_ROUNDS} "
+                      f"cutting-plane rounds")
+    if d == 1:    # the sorted pair set is complete: keep the LP optimum
+        value = ub
+    else:         # the lower bound, with the test function that attains it
+        value, (phi, a, b) = lb, test
+    cert = {"points": points, "phi": phi, "lip_budget": a, "sup_budget": b,
+            "ub": ub, "lb": lb, "rounds": rounds}
     return BLResult(max(value, 0.0), cert)
+
+
+def _lower_bound(points, eta, phi, a, b):
+    """Exact lower bound from the LP's phi: the better of its McShane
+    extensions, made feasible by scaling (phi, a, b) by max(1, a + b) and
+    clipping to [-b, b].  Returns (value, test function, a, b)."""
+    s = max(1.0, a + b)
+    a = min(max(a / s, 0.0), 1.0)
+    b = min(max(b / s, 0.0), 1.0 - a)
+    ext = np.clip(_extensions(points, phi / s, a), -b, b)
+    vals = [float(eta @ e) for e in ext]
+    k = int(np.argmax(vals))
+    return vals[k], ext[k], a, b
+
+
+def _extensions(points, phi, a):
+    """McShane extensions of phi over the support, as the rows of one
+    (2, n) array: the lower min_w [phi(w) + a|z - w|] and the upper
+    max_w [phi(w) - a|z - w|].  A sweep over the sorted points in d = 1, a
+    chunked scan above."""
+    n = points.shape[0]
+    out = np.empty((2, n))
+    if points.shape[1] == 1:
+        # running min/max over w <= z and w >= z, in one buffer: separate
+        # temporaries raised the large-k peak RSS by 3 MB
+        order = np.argsort(points[:, 0], kind="stable")
+        p, ax = phi[order], a * points[order, 0]
+        run = np.empty((4, n))
+        np.minimum.accumulate(p - ax, out=run[0])
+        np.minimum.accumulate((p + ax)[::-1], out=run[1, ::-1])
+        np.maximum.accumulate(p + ax, out=run[2])
+        np.maximum.accumulate((p - ax)[::-1], out=run[3, ::-1])
+        run[0] += ax
+        run[1] -= ax
+        run[2] -= ax
+        run[3] += ax
+        out[0, order] = np.minimum(run[0], run[1])
+        out[1, order] = np.maximum(run[2], run[3])
+        return out
+    for start, stop, dist in _distance_rows(points):
+        out[0, start:stop] = np.min(phi + a * dist, axis=1)
+        out[1, start:stop] = np.max(phi - a * dist, axis=1)
+    return out
 
 
 def _violated_pairs(points, phi, a):
     """All pairs whose Lipschitz constraint the current phi violates,
     found by an exhaustive chunked scan."""
-    n = points.shape[0]
     out = []
-    chunk = max(1, 2_000_000 // n)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = points[start:stop, None, :] - points[None, :, :]
-        dd = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        gap = np.abs(phi[start:stop, None] - phi[None, :]) - a * dd
+    for start, stop, dist in _distance_rows(points):
+        gap = np.abs(phi[start:stop, None] - phi[None, :]) - a * dist
         ii, jj = np.nonzero(gap > 1e-9)
         keep = start + ii < jj
         out.append(np.stack([start + ii[keep], jj[keep]], axis=1))
     return np.vstack(out)
+
+
+def _distance_rows(points):
+    """(start, stop, distances from points[start:stop] to every point), in
+    chunks of about 2e6 pairs."""
+    n = points.shape[0]
+    chunk = max(1, 2_000_000 // n)
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        diff = points[start:stop, None, :] - points[None, :, :]
+        yield start, stop, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def bl_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -194,17 +266,23 @@ def bl_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Bounded-Lipschitz dual-norm distance ||mu - nu||_LB*."""
     points, eta = _signed_union(mu, nu)
     if points.shape[0] == 0 or not np.any(np.abs(eta) > 0):
-        return BLResult(0.0)
+        return BLResult(0.0, {"ub": 0.0, "lb": 0.0, "rounds": 0})
     return _exact_lp(points, eta, np.random.default_rng(seed))
 
 
-def bl_distance_fields(u: GridField, w: GridField, seed: int = 0) -> float:
-    """Sum over species of BL distances between two grid solutions."""
+def bl_distance_fields(u: GridField, w: GridField,
+                       seed: int = 0) -> BLResult:
+    """Sum over species of BL distances between two grid solutions; the
+    certificate holds the summed bounds ub, lb and the most rounds."""
     if u.n_species != w.n_species:
         raise ValueError("species counts differ")
-    return sum(bl_distance(DiscreteMeasure.from_grid(u, i),
-                           DiscreteMeasure.from_grid(w, i), seed=seed).value
-               for i in range(u.n_species))
+    res = [bl_distance(DiscreteMeasure.from_grid(u, i),
+                       DiscreteMeasure.from_grid(w, i), seed=seed)
+           for i in range(u.n_species)]
+    return BLResult(sum(r.value for r in res),
+                    {"ub": sum(r.certificate["ub"] for r in res),
+                     "lb": sum(r.certificate["lb"] for r in res),
+                     "rounds": max(r.certificate["rounds"] for r in res)})
 
 
 # ---------------------------------------------------------------------

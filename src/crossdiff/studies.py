@@ -187,7 +187,8 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         sol = pde.solve(model, u0, solver_params(cfg, mode="kernel"))
         sup = 0.0
         for snap_loc, snap in zip(sol_loc.snapshots, sol.snapshots):
-            sup = max(sup, bl_distance_fields(snap, snap_loc, seed=seed))
+            sup = max(sup,
+                      bl_distance_fields(snap, snap_loc, seed=seed).value)
         _cache_store(out_dir, keys[n], sup)
         return sup
 
@@ -305,7 +306,13 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
 
     # identical data run twice: distances must vanish to solver tolerance
     sol_same = pde.solve(model, u0, sp)
-    d_same = max(bl_distance_fields(a, b, seed=seed)
+    certs = []    # every BL certificate, for the gap and rounds summary
+
+    def dist(a, b):
+        res = bl_distance_fields(a, b, seed=seed)
+        certs.append(res.certificate)
+        return res.value
+    d_same = max(dist(a, b)
                  for a, b in zip(sol0.snapshots, sol_same.snapshots))
 
     rows, ratios = [], []
@@ -314,23 +321,26 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         shift[axis] = delta
         u0p = project_to_grid([s.shifted(shift) for s in init], lo, hi, shape)
         solp = pde.solve(model, u0p, sp)
-        d0 = bl_distance_fields(sol0.snapshots[0], solp.snapshots[0],
-                                seed=seed)
-        dist_t = [bl_distance_fields(a, b, seed=seed)
-                  for a, b in zip(sol0.snapshots, solp.snapshots)]
+        d0 = dist(sol0.snapshots[0], solp.snapshots[0])
+        dist_t = [dist(a, b) for a, b in zip(sol0.snapshots, solp.snapshots)]
         for snap, dval in zip(sol0.snapshots, dist_t):
             rows.append((delta, float(snap.time), float(dval)))
         ratios.append(max(dist_t) / d0)
 
     ratio_spread = max(ratios) / min(ratios)
     passed = d_same <= 1e-8 and ratio_spread <= 2.0
+    # the largest BL duality gap, relative to its upper bound
+    gap = max(((c["ub"] - c["lb"]) / c["ub"] for c in certs if c["ub"] > 0),
+              default=0.0)
     csv_path = os.path.join(out_dir, "uniqueness.csv")
     io.write_rows_csv(csv_path, ["delta", "t", "bl_distance"], rows)
     return StudyReport(
         "uniqueness", passed,
         {"identical_run_distance": f"{d_same:.3g}",
          "stability_ratios": [round(rv, 4) for rv in ratios],
-         "ratio_spread": round(ratio_spread, 4)},
+         "ratio_spread": round(ratio_spread, 4),
+         "bl_max_relative_gap": f"{gap:.3g}",
+         "bl_max_rounds": max(c["rounds"] for c in certs)},
         [csv_path])
 
 

@@ -262,6 +262,29 @@ def test_cli_bl_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "BL linear program failed" in capsys.readouterr().err
 
 
+def test_cli_study_uniqueness_2d_on_20_cells(tmp_path, capsys):
+    # the uniqueness-2d benchmark problem on 20 x 20 cells; a stop on an
+    # empty violation list raised BLError (exit 2) here
+    cfg = {
+        "seed": 37,
+        "model": {"M": 1, "dim": 2, "family": "constant-coefficients",
+                  "params": {"sigma0": 0.3}, "r": [0.5], "rbar": [0.5],
+                  "kernels": {"C": {"family": "gaussian", "bandwidth": 0.5}}},
+        "initial": [{"mass": 0.8, "kind": "gaussian", "std": 0.6}],
+        "pde": {"lo": -4.0, "hi": 4.0, "cells": 20, "dt": 0.01,
+                "t_end": 0.5, "snapshot_times": [0.0, 0.25, 0.5]},
+        "uniqueness": {"deltas": [0.4, 0.2, 0.1]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "o")
+    assert cli.main(["study-uniqueness", "--config", path,
+                     "--out", out]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["report", "--out", out]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert "bl_max_relative_gap" in text and "bl_max_rounds" in text
+
+
 def test_cli_solve_pde_outputs_and_determinism(tmp_path, capsys):
     path = write_cfg(tmp_path, base_cfg())
     outs = []

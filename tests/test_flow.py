@@ -15,7 +15,7 @@ from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import KernelSpec, convolve_field, convolve_field_grid
 from crossdiff.model import builtin_model
 from crossdiff.pde import PDESolution, SolverParams, solve
-from crossdiff.studies import frozen_flow
+from crossdiff.studies import frozen_flow, study_flow
 
 
 def const_coeffs(sigma=0.3, drift=0.1, rate=0.0, noise_scale=1.0, d=1,
@@ -178,6 +178,31 @@ def test_from_pde_spacing_check():
     # dt large enough that snapshots are within 10 dt is accepted
     forward_flow(c, 0, 0.0, 0.5, [[0.0]], dt=0.025,
                  rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("mode,with_C", [("kernel", False), ("local", False),
+                                         ("local", True)])
+def test_fk_mass_follows_the_pde_competition_mode(tmp_path, mode, with_C):
+    # kernel mode competes through C (none here), local mode through
+    # comp = 2 and never through C
+    kernels = {"G": {"family": "gaussian", "bandwidth": 0.5},
+               "H": {"family": "gaussian", "bandwidth": 0.5}}
+    if with_C:
+        kernels["C"] = {"family": "gaussian", "bandwidth": 0.5}
+    cfg = {
+        "seed": 7,
+        "model": {"M": 1, "dim": 1, "family": "constant-coefficients",
+                  "params": {"sigma0": 0.3}, "r": [0.0], "rbar": [0.0],
+                  "comp": [[2.0]], "kernels": kernels},
+        "initial": [{"mass": 0.5, "kind": "gaussian", "std": 0.6}],
+        "pde": {"lo": -5.0, "hi": 5.0, "cells": 32, "dt": 0.005,
+                "t_end": 0.1, "mode": mode},
+        "flow": {"t": 0.1, "dt": 0.005, "n_paths": 16},
+    }
+    s = study_flow(cfg, str(tmp_path), seed=7).summary
+    assert abs(s["fk_mass"] - s["pde_mass"]) <= 3.0 * s["fk_stderr"]
+    if mode == "kernel":
+        assert s["pde_mass"] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_forward_flow_guard_raises_on_blowup():

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossdiff.metrics as M
@@ -111,12 +111,123 @@ def test_lp_failure_raises_bl_error(monkeypatch):
 
 
 def test_unsettled_cutting_planes_raise_bl_error(monkeypatch):
-    monkeypatch.setattr(M, "_violated_pairs",
-                        lambda points, phi, a: np.array([[0, 1]]))
+    # extensions stuck at zero keep the duality gap open in every round
+    monkeypatch.setattr(M, "_extensions",
+                        lambda points, phi, a: (0.0 * phi, 0.0 * phi))
     mu = dm([[0.0, 0.0]], [1.0])
     nu = dm([[1.0, 0.0]], [0.5])
     with pytest.raises(M.BLError, match="30 cutting-plane rounds"):
         bl_distance(mu, nu)
+
+
+def gaussian_field(cells, shift):
+    # Gaussian, std 0.6 and mass 0.8, on [-4, 4]^2, shifted along axis 0
+    lo, hi = np.array([-4.0, -4.0]), np.array([4.0, 4.0])
+    xs = (np.arange(cells) + 0.5) / cells * 8.0 - 4.0
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    v = np.exp(-((X - shift) ** 2 + Y ** 2) / (2 * 0.6 ** 2))
+    v *= 0.8 / (v.sum() * (8.0 / cells) ** 2)
+    return GridField(lo, hi, v[None], 0.0)
+
+
+def assert_certificate_exact(res, eta):
+    """phi is exactly feasible, attains lb, and the gap is closed."""
+    c = res.certificate
+    pts, phi, a, b = c["points"], c["phi"], c["lip_budget"], c["sup_budget"]
+    assert a >= 0.0 and b >= 0.0 and a + b <= 1.0
+    assert np.max(np.abs(phi)) <= b
+    ii, jj = np.triu_indices(pts.shape[0], k=1)
+    dist = np.sqrt(np.sum((pts[ii] - pts[jj]) ** 2, axis=1))
+    # roundoff of the min/max over the support, not an LP tolerance
+    assert np.max(np.abs(phi[ii] - phi[jj]) - a * dist, initial=0.0) <= 1e-12
+    assert c["lb"] == pytest.approx(eta @ phi, abs=1e-15)
+    # lb may pass ub by the LP solver's feasibility tolerance
+    assert abs(c["ub"] - c["lb"]) <= M.GAP_TOL * np.abs(eta).sum()
+
+
+def test_grid_24_certified_where_violation_stop_failed():
+    # the exhaustive-violation stop raised BLError here after 30 rounds
+    mu = DiscreteMeasure.from_grid(gaussian_field(24, 0.0), 0)
+    nu = DiscreteMeasure.from_grid(gaussian_field(24, 0.2), 0)
+    res = bl_distance(mu, nu)
+    points, eta = M._signed_union(mu, nu)
+    c = res.certificate
+    assert c["lb"] <= c["ub"]
+    assert_certificate_exact(res, eta)
+    assert res.value == c["lb"]
+    assert np.array_equal(c["points"], points)
+    assert 0.0 < res.value < 0.2 * 0.8     # below shift * mass (W1 bound)
+    # the better of the two extensions closes the gap at once; the lower
+    # one alone needs 5 rounds here
+    assert c["rounds"] == 0
+
+
+def test_lower_bound_divides_out_budget_slack():
+    # LP feasibility slack can leave a + b above 1: (phi, a, b) is divided
+    # by a + b, so the test function keeps its shape and stays feasible
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    lb, phi, a, b = M._lower_bound(pts, np.array([1.0, -1.0]),
+                                   np.array([0.275, -0.275]), 0.55, 0.55)
+    assert a + b <= 1.0
+    assert (a, b) == pytest.approx((0.5, 0.5), abs=1e-15)
+    np.testing.assert_allclose(phi, [0.25, -0.25], rtol=0, atol=1e-15)
+    assert lb == pytest.approx(0.5, abs=1e-15)
+
+
+def test_one_d_extensions_sweep_matches_scan():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(200, 1))
+    phi = rng.uniform(-0.5, 0.5, 200)
+    dist = np.abs(pts - pts.T)
+    lo, hi = M._extensions(pts, phi, 0.3)
+    np.testing.assert_allclose(lo, np.min(phi[None] + 0.3 * dist, axis=1),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(hi, np.max(phi[None] - 0.3 * dist, axis=1),
+                               rtol=0, atol=1e-14)
+
+
+def test_one_d_returns_the_lp_value_and_records_bounds():
+    rng = np.random.default_rng(4)
+    mu = dm(rng.normal(size=(40, 1)), rng.uniform(0, 1, 40))
+    nu = dm(rng.normal(size=(30, 1)), rng.uniform(0, 1, 30))
+    res = bl_distance(mu, nu)
+    c = res.certificate
+    points, eta = M._signed_union(mu, nu)
+    assert res.value == c["ub"] == eta @ c["phi"]
+    assert c["rounds"] == 0
+    assert abs(c["ub"] - c["lb"]) <= M.GAP_TOL * np.abs(eta).sum()
+
+
+measures_2d = st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
+                                 st.floats(0.01, 1.0)),
+                       min_size=1, max_size=6)
+
+
+def as_measure(atoms):
+    return DiscreteMeasure(np.array([[x, y] for x, y, _ in atoms]),
+                           np.array([w for _, _, w in atoms]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(measures_2d, measures_2d, measures_2d, st.floats(0.1, 10.0))
+# coincident atoms: mu - nu must not depend on the order of summation
+@example([(0.0, 0.0, 1.0)], [(0.0, 0.0, 1.0), (0.0, 0.0, 0.17064444753872846)],
+         [(0.0, 0.0, 1.0)], 1.0)
+def test_metric_axioms_2d(a, b, c, scale):
+    ma, mb, mc = as_measure(a), as_measure(b), as_measure(c)
+    mass = sum(m.weights.sum() for m in (ma, mb, mc))
+    dab, dba = bl_distance(ma, mb), bl_distance(mb, ma)
+    dbc, dac = bl_distance(mb, mc).value, bl_distance(ma, mc).value
+    assert dab.value == dba.value
+    # each value is within GAP_TOL * ||eta||_1 <= GAP_TOL * mass of its LP
+    # bound, which the LP solver meets to its feasibility tolerance
+    assert dac <= dab.value + dbc + 1e-6 * mass
+    scaled = bl_distance(DiscreteMeasure(ma.points, scale * ma.weights),
+                         DiscreteMeasure(mb.points, scale * mb.weights))
+    assert scaled.value == pytest.approx(scale * dab.value,
+                                         abs=1e-6 * scale * mass)
+    if "phi" in dab.certificate:
+        assert_certificate_exact(dab, M._signed_union(ma, mb)[1])
 
 
 def test_from_grid_and_from_empirical():
