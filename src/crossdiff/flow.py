@@ -25,12 +25,15 @@ reads the initial grid fields[0]; any object with these members can stand
 in for it.
 
 Coefficient derivatives are central finite differences: coefficients are
-compositions with convolved fields, not closed forms.  The convolutions
-k * u^j of the smooth kernels are tabulated once per snapshot on a lattice
-over the padded box (FFT grid convolutions with cached kernel spectra) and
-read back through C^2 cubic splines, so the nested differences of the
-inverse flow stay meaningful; in time they blend linearly between
-snapshots, which is exact because convolution is linear.
+compositions with convolved fields, not closed forms.  Within one
+inverse-flow step, sigma_eff and the drift are evaluated once per distinct
+stencil point and shared read-only by every difference that needs them.
+The convolutions k * u^j of the smooth kernels are tabulated once per
+snapshot on a lattice over the padded box (FFT grid convolutions with
+cached kernel spectra) and read back through C^2 cubic splines, so the
+nested differences of the inverse flow stay meaningful; in time they blend
+linearly between snapshots, which is exact because convolution is linear,
+and a read evaluates both blended snapshots in one spline call.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ class ConvolutionTable:
     PDE cell splits into r sub-cells per axis, with r chosen so that the
     lattice step is at most TABLE_STEP * bandwidth; every sub-cell offset
     is one FFT grid convolution of the zero-padded field, with its kernel
-    spectrum cached across snapshots.  Splines are make_interp_spline in
-    1-d and RectBivariateSpline in 2-d.
+    spectrum cached across snapshots.  In 1-d one make_interp_spline holds
+    a column per snapshot; in 2-d each snapshot has a RectBivariateSpline.
     """
 
     def __init__(self, k: KernelSpec, fields: list, j: int, r, pad):
@@ -110,8 +113,10 @@ class ConvolutionTable:
                 values[(s,) + nodes] = convolve_field_grid(k, u, 0,
                                                            offset=offset)
         if g.dim == 1:
-            self.splines = [make_interp_spline(self.axes[0], v, k=3)
-                            for v in values]
+            # one column per snapshot, with the same coefficients as one
+            # spline per snapshot
+            self.spline = make_interp_spline(self.axes[0], values, k=3,
+                                             axis=1)
         else:
             self.splines = [RectBivariateSpline(*self.axes, v, kx=3, ky=3,
                                                 s=0) for v in values]
@@ -121,10 +126,20 @@ class ConvolutionTable:
         return np.all([(X[:, a] >= ax[0]) & (X[:, a] <= ax[-1])
                        for a, ax in enumerate(self.axes)], axis=0)
 
-    def __call__(self, s: int, X: np.ndarray) -> np.ndarray:
+    def __call__(self, weights: list, X: np.ndarray) -> np.ndarray:
+        """sum_s w_s (k * u^s)(X) over the (snapshot, weight) pairs of a
+        time blend; in 1-d its adjacent columns are read in one call."""
+        out = np.zeros(X.shape[0])
         if X.shape[1] == 1:
-            return self.splines[s](X[:, 0])
-        return self.splines[s].ev(X[:, 0], X[:, 1])
+            sp, first = self.spline, weights[0][0]
+            cols = type(sp).construct_fast(
+                sp.t, sp.c[:, first:first + len(weights)], sp.k)(X[:, 0])
+            for c, (_, w) in enumerate(weights):
+                out += w * cols[:, c]
+        else:
+            for s, w in weights:
+                out += w * self.splines[s].ev(X[:, 0], X[:, 1])
+        return out
 
 
 class FrozenCoefficients:
@@ -200,9 +215,7 @@ class FrozenCoefficients:
             return np.atleast_1d(convolve_field(k, self._field_at(t), j, X))
         inside = table.inside(X)
         out = np.zeros(X.shape[0])
-        Xin = X[inside]
-        for s, w in self._time_weights(t):
-            out[inside] += w * table(s, Xin)
+        out[inside] = table(self._time_weights(t), X[inside])
         if not inside.all():
             out[~inside] = convolve_field(k, self._field_at(t), j,
                                           X[~inside])
@@ -322,17 +335,39 @@ def forward_flow(coeffs: FrozenCoefficients, i: int, s: float, t: float,
     return FlowPaths(times, paths, increments)
 
 
+def _per_step(fn):
+    """fn(s, Y), evaluated once per distinct Y while s stays the same.
+
+    The nested stencils of one inverse-flow step revisit a few point sets
+    many times.  Keys are Y's shape and exact bytes, so every difference
+    reads the values a direct call would give; shared values are handed
+    out read-only, and the memo clears when s advances."""
+    step, memo = None, {}
+
+    def call(s, Y):
+        nonlocal step
+        if s != step:
+            step = s
+            memo.clear()
+        key = (Y.shape, Y.tobytes())
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = fn(s, Y).view()
+            val.flags.writeable = False
+        return val
+    return call
+
+
 def _inverse_coeff_fns(coeffs, i, t):
     """A(s, y) and beta(s, y) of the reverted Ito equation."""
-    def A(s, Y):
-        return coeffs.sigma_eff(i, t - s, Y)
+    A = _per_step(lambda s, Y: coeffs.sigma_eff(i, t - s, Y))
+    b = _per_step(lambda s, Y: coeffs.drift(i, t - s, Y))
 
     def beta(s, Y, h_fd):
-        b = coeffs.drift(i, t - s, Y)
-        dse = _fd_grad(lambda Z: coeffs.sigma_eff(i, t - s, Z), Y, h_fd)
+        dse = _fd_grad(lambda Z: A(s, Z), Y, h_fd)
         # b_hat_k = b_k - sum_{l,q} s_eff_{lq} d_l s_eff_{kq}
-        corr = np.einsum("nlq,nlkq->nk", coeffs.sigma_eff(i, t - s, Y), dse)
-        return -(b - corr)
+        corr = np.einsum("nlq,nlkq->nk", A(s, Y), dse)
+        return -(b(s, Y) - corr)
     return A, beta
 
 

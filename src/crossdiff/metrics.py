@@ -21,7 +21,8 @@ the better of the two gives a lower bound LB (McShane, Bull. AMS 40, 1934).
 Violated pairs are added (cutting planes) only while the duality gap
 UB - LB exceeds GAP_TOL * ||eta||_1 (Kelley, J. SIAM 8, 1960); the value
 returned is LB, and the certificate phi is that extension, which is feasible
-and attains it.  A gap still open after CUT_ROUNDS rounds raises BLError.
+and attains it.  A gap still open after CUT_ROUNDS rounds, or after a round
+that finds no violated pair to add, raises BLError.
 
 Every certificate records ub, lb and the cutting-plane rounds.  In d = 1 lb
 comes from an O(n) sweep over the sorted support and only checks the LP
@@ -178,7 +179,12 @@ def _exact_lp(points, eta, rng) -> BLResult:
         if rounds:
             # cutting planes: add the pairs the last phi violates
             viol = _violated_pairs(points, phi, a)
-            pairs = np.unique(np.vstack([pairs, viol[:4 * n]]), axis=0)
+            grown = np.unique(np.vstack([pairs, viol[:4 * n]]), axis=0)
+            if len(grown) == len(pairs):    # the same LP again
+                raise BLError(f"BL duality gap still open with no "
+                              f"violated pair left to add (cutting-plane "
+                              f"round {rounds})")
+            pairs = grown
         ub, phi, a, b = _solve_lp(points, eta, pairs)
         lb, *test = _lower_bound(points, eta, phi, a, b)
         if d == 1 or ub - lb <= tol:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ibm, io, pde
-from .config import (build_initial, build_model, grid_box, mollified_C,
-                     sim_params, solver_params)
+from .config import (ConfigError, build_initial, build_model, grid_box,
+                     mollified_C, sim_params, solver_params)
 from .flow import FrozenCoefficients, density_estimate, feynman_kac_functional
 from .initial import project_to_grid
 from .metrics import (DiscreteMeasure, bl_distance, bl_distance_fields,
@@ -245,6 +245,9 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     lo, hi, shape = grid_box(cfg)
     u0 = project_to_grid(init, lo, hi, shape)
     n_paths = int(fcfg.get("n_paths", 200))
+    if n_paths < 2:
+        # the verdict compares against sample standard errors
+        raise ConfigError(f"flow.n_paths must be at least 2, got {n_paths}")
     i = int(fcfg.get("species", 0))
     t, dt, sol, coeffs = frozen_flow(cfg, model, u0)
     u_t = sol.at_time(t)

@@ -2,11 +2,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import crossdiff
 from crossdiff import cli, io
 from crossdiff.config import (ConfigError, build_initial, build_model,
                               grid_box, load_config, mollified_C, sim_params,
@@ -461,3 +464,30 @@ def test_cli_study_identical_across_workers_and_resume(tmp_path, capsys,
     assert codes == [codes[0]] * 3
     assert tables[0] == tables[1] == tables[2]
     assert tables[0].count(b"\n") > 1
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_cli_study_flow_rejects_fewer_than_two_paths(tmp_path, capsys,
+                                                     n_paths):
+    # the verdict needs a sample standard error, so at least two paths
+    cfg = study_cfg("study-flow")
+    cfg["flow"]["n_paths"] = n_paths
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main(["study-flow", "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_USAGE
+    assert "flow.n_paths must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "flow_density.csv").exists()
+
+
+def test_package_import_leaves_scipy_interpolate_and_signal_unloaded():
+    # each adds tens of milliseconds to every process start; only the
+    # code that builds a spline table imports scipy.interpolate
+    code = ("import sys, crossdiff, crossdiff.cli, crossdiff.studies; "
+            "print([m for m in ('scipy.interpolate', 'scipy.signal') "
+            "if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(crossdiff.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

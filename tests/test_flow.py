@@ -6,7 +6,8 @@ from _coefficients import CallableCoefficients, synthetic_coeffs
 
 from crossdiff.config import (build_initial, build_model, grid_box,
                               solver_params)
-from crossdiff.flow import (FlowError, FrozenCoefficients,
+from crossdiff.flow import (ConvolutionTable, FlowError, FrozenCoefficients,
+                            _inverse_coeff_fns, _lattice,
                             compose_inverse_forward, density_estimate,
                             feynman_kac_functional, forward_flow,
                             inverse_flow)
@@ -101,6 +102,34 @@ def test_jacobian_matches_common_noise_finite_difference():
                        dt=dt, increments=inc)
     fd = (inv.eta0[1, 0] - inv.eta0[2, 0]) / (2 * eps)
     assert inv.jacobians[-1][0, 0, 0] == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_inverse_flow_step_evaluates_each_stencil_point_once(monkeypatch, d):
+    # the nested differences of one step visit 1 + 2d + 4d^2 point sets
+    # for sigma and 1 + 2d for the drift
+    c = synthetic_coeffs(d)
+    calls = {"_sigma_fn": 0, "_drift_fn": 0}
+    for name in calls:
+        def counted(i, t, X, fn=getattr(c, name), name=name):
+            calls[name] += 1
+            return fn(i, t, X)
+        monkeypatch.setattr(c, name, counted)
+    y = np.random.default_rng(0).uniform(-1, 1, (5, d))
+    inverse_flow(c, 0, 0.01, y, dt=0.01, rng=np.random.default_rng(1))
+    assert 0 < calls["_sigma_fn"] <= 1 + 2 * d + 4 * d * d
+    assert 0 < calls["_drift_fn"] <= 1 + 2 * d
+
+
+def test_shared_stencil_values_are_read_only():
+    A, _ = _inverse_coeff_fns(synthetic_coeffs(), 0, 0.5)
+    Y = np.linspace(-1.0, 1.0, 4)[:, None]
+    v = A(0.0, Y)
+    assert A(0.0, Y.copy()) is v        # same bytes: one evaluation
+    with pytest.raises(ValueError):
+        v[0] += 1.0
+    assert A(0.1, Y) is not v           # the memo clears when s advances
+    np.testing.assert_array_equal(A(0.1, Y), v)
 
 
 def test_composition_error_shrinks_with_dt():
@@ -336,3 +365,39 @@ def test_from_pde_gaussian_G_determinant_routes_agree():
     coeffs.tables = {}
     exact = inverse_flow(coeffs, 0, t, y, dt, np.random.default_rng(12))
     np.testing.assert_allclose(inv.det_matrix, exact.det_matrix, rtol=1e-4)
+
+
+@pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2)])
+def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
+    # three snapshots, so a blend may start at a later column
+    import scipy.interpolate as si
+    m, sol = _table_case("gaussian", cells, dim, 0.6)
+    a, b = sol.snapshots
+    fields = [a, b, GridField(a.lo, a.hi, 0.5 * (a.values + b.values))]
+    k = m.C[0][0]
+    built, make = [], si.make_interp_spline
+
+    def recorded(x, y, **kwargs):
+        built.append((x, y))
+        return make(x, y, **kwargs)
+    monkeypatch.setattr(si, "make_interp_spline", recorded)
+    table = ConvolutionTable(k, fields, 0, *_lattice(k, fields))
+    rng = np.random.default_rng(dim)
+    X = rng.uniform(a.lo[0], a.hi[0], (300, dim))
+    if dim == 1:
+        (x, values), = built
+        per = [make(x, v, k=3) for v in values]
+        for s, spline in enumerate(per):
+            assert np.array_equal(table.spline.c[:, s], spline.c)
+
+        def read(s):
+            return per[s](X[:, 0])
+    else:
+        def read(s):
+            return table.splines[s].ev(X[:, 0], X[:, 1])
+    for weights in ([(0, 1.0)], [(0, 0.3), (1, 0.7)], [(1, 0.45), (2, 0.55)],
+                    [(2, 1.0)]):
+        ref = np.zeros(X.shape[0])
+        for s, w in weights:
+            ref += w * read(s)
+        assert np.array_equal(table(weights, X), ref)

@@ -110,14 +110,47 @@ def test_lp_failure_raises_bl_error(monkeypatch):
         bl_distance(mu, nu)
 
 
+def counted_lp(monkeypatch):
+    """Patch _solve_lp to record its calls; returns the call list."""
+    calls, solve = [], M._solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(M, "_solve_lp", counted)
+    return calls
+
+
 def test_unsettled_cutting_planes_raise_bl_error(monkeypatch):
-    # extensions stuck at zero keep the duality gap open in every round
+    # extensions stuck at zero keep the duality gap open in every round,
+    # and the complete two-point pair set leaves nothing to add
     monkeypatch.setattr(M, "_extensions",
                         lambda points, phi, a: (0.0 * phi, 0.0 * phi))
+    solves = counted_lp(monkeypatch)
     mu = dm([[0.0, 0.0]], [1.0])
     nu = dm([[1.0, 0.0]], [0.5])
+    with pytest.raises(M.BLError, match="no violated pair left to add"):
+        bl_distance(mu, nu)
+    assert len(solves) <= 2
+
+
+def test_cutting_plane_round_cap_raises_bl_error(monkeypatch):
+    # a fresh pair in every round keeps the rounds going up to the cap
+    monkeypatch.setattr(M, "_extensions",
+                        lambda points, phi, a: (0.0 * phi, 0.0 * phi))
+    monkeypatch.setattr(M, "_pair_set",
+                        lambda points, rng: np.array([[0, 1]]))
+    fresh = iter(range(2, 40))
+    monkeypatch.setattr(M, "_violated_pairs",
+                        lambda points, phi, a: np.array([[0, next(fresh)]]))
+    solves = counted_lp(monkeypatch)
+    rng = np.random.default_rng(0)
+    mu = dm(rng.normal(size=(40, 2)), np.full(40, 0.025))
+    nu = dm([[0.0, 0.0]], [0.5])
     with pytest.raises(M.BLError, match="30 cutting-plane rounds"):
         bl_distance(mu, nu)
+    assert len(solves) == M.CUT_ROUNDS + 1
+    assert [len(args[2]) for args in solves] == list(range(1, 32))
 
 
 def gaussian_field(cells, shift):
