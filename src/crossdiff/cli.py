@@ -40,10 +40,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Particle / PDE / flow workbench for kernel-interacting "
                     "population models")
     sub = p.add_subparsers(dest="verb", required=True)
-    verbs = ["validate", "simulate-ibm", "solve-pde", "flow",
-             "study-large-k", "study-dirac", "study-flow",
-             "study-uniqueness", "report"]
-    for v in verbs:
+    for v in _COMMANDS:
         q = sub.add_parser(v)
         q.add_argument("--config", required=(v != "report"),
                        help="experiment config (YAML)")
@@ -81,39 +78,24 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK
 
 
-def _cmd_simulate_ibm(args) -> int:
-    cfg, seed, out = _load(args)
-    started = time.time()
+def _simulate_ibm(cfg, seed, out, args):
     model = build_model(cfg)
     init = build_initial(cfg)
     K = int((cfg.get("ibm") or {}).get("K", [1000])[0])
-    params = sim_params(cfg, K, seed)
-    traj = ibm.simulate(model, init, params)
+    traj = ibm.simulate(model, init, sim_params(cfg, K, seed))
     csv_path = os.path.join(out, "particles.csv")
     io.write_particles_csv(csv_path, traj)
-    man_path = os.path.join(out, "ibm_manifest.json")
-    io.write_manifest(man_path, config_path=args.config, seed=seed,
-                      command="simulate-ibm", started=started,
-                      summary={"K": K, "births": traj.births,
-                               "deaths": traj.deaths,
-                               "final_counts": [int(c) for c in
-                                                traj.snapshots[-1][1].counts()],
-                               "rng": traj.rng_descriptor},
-                      passed=True, files=[csv_path])
     print(f"wrote {csv_path}")
-    return EXIT_OK
+    return ({"K": K, "births": traj.births, "deaths": traj.deaths,
+             "final_counts": [int(c) for c in traj.snapshots[-1][1].counts()],
+             "rng": traj.rng_descriptor}, True, [csv_path])
 
 
-def _cmd_solve_pde(args) -> int:
-    cfg, seed, out = _load(args)
-    started = time.time()
+def _solve_pde(cfg, seed, out, args):
     model = build_model(cfg)
-    init = build_initial(cfg)
-    lo, hi, shape = grid_box(cfg)
-    u0 = project_to_grid(init, lo, hi, shape)
+    u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     sol = pde.solve(model, u0, solver_params(cfg))
     bound = pde.mass_bound_check(sol, model)
-    passed = bound.passed and not sol.leak_flag
     files = []
     for snap in sol.snapshots:
         tag = f"{snap.time:.6g}".replace(".", "p")
@@ -122,42 +104,29 @@ def _cmd_solve_pde(args) -> int:
         io.write_field_csv(csv_path, snap)
         io.write_field_dump(dump_path, snap)
         files += [csv_path, dump_path]
-    man_path = os.path.join(out, "pde_manifest.json")
-    io.write_manifest(man_path, config_path=args.config, seed=seed,
-                      command="solve-pde", started=started,
-                      summary={"masses": sol.masses.tolist(),
-                               "clamp_mass": sol.clamp_mass,
-                               "max_boundary_fraction":
-                                   sol.max_boundary_fraction,
-                               "leak_flag": sol.leak_flag,
-                               "mass_bound_ok": bound.passed},
-                      passed=passed, files=files)
     for t, masses in zip(sol.times, sol.masses):
         print(f"t={t:g} masses={np.round(masses, 6).tolist()}")
     if sol.leak_flag:
         print("warning: boundary mass fraction exceeded the leak budget")
     if not bound.passed:
         print("warning: a snapshot mass exceeds its growth bound")
-    return EXIT_OK if passed else EXIT_CHECK
+    return ({"masses": sol.masses.tolist(), "clamp_mass": sol.clamp_mass,
+             "max_boundary_fraction": sol.max_boundary_fraction,
+             "leak_flag": sol.leak_flag, "mass_bound_ok": bound.passed},
+            bound.passed and not sol.leak_flag, files)
 
 
-def _cmd_flow(args) -> int:
-    cfg, seed, out = _load(args)
-    started = time.time()
+def _flow(cfg, seed, out, args):
     model = build_model(cfg)
-    init = build_initial(cfg)
-    lo, hi, shape = grid_box(cfg)
-    u0 = project_to_grid(init, lo, hi, shape)
+    u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     fcfg = cfg.get("flow") or {}
     n_paths = int(fcfg.get("n_paths", 100))
+    if n_paths < 1:
+        raise ConfigError(f"flow.n_paths must be at least 1, got {n_paths}")
     i = int(fcfg.get("species", 0))
-    t, dt, sol, coeffs = studies.frozen_flow(cfg, model, u0)
+    y = studies.flow_probes(cfg, u0, [0.35, 0.5, 0.65])
+    t, dt, _, coeffs = studies.frozen_flow(cfg, model, u0)
 
-    probes = fcfg.get("probes")
-    if probes is None:
-        axis = sol.snapshots[-1].axis_centers(0)
-        probes = np.quantile(axis, [0.35, 0.5, 0.65])[:, None]
-    y = np.atleast_2d(np.asarray(probes, dtype=float)).reshape(-1, model.d)
     yy = np.repeat(y, n_paths, axis=0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(71,)))
@@ -174,31 +143,34 @@ def _cmd_flow(args) -> int:
             for j, p in enumerate(y)]
     csv_path = os.path.join(out, "flow_diagnostics.csv")
     io.write_rows_csv(csv_path, ["y", "mean_det_matrix", "mean_det_sde"], rows)
-    io.write_manifest(os.path.join(out, "flow_manifest.json"),
-                      config_path=args.config, seed=seed, command="flow",
-                      started=started,
-                      summary={"det_relative_gap": det_gap,
-                               "composition_error": comp_err,
-                               "min_det": float(inv.det_matrix.min())},
-                      passed=det_gap <= 0.01, files=[csv_path])
     print(f"det gap {det_gap:.3e}, composition error {comp_err:.3e}")
-    return EXIT_OK if det_gap <= 0.01 else EXIT_CHECK
+    return ({"det_relative_gap": det_gap, "composition_error": comp_err,
+             "min_det": float(inv.det_matrix.min())},
+            det_gap <= 0.01, [csv_path])
 
 
-def _cmd_study(name):
-    def run(args) -> int:
-        cfg, seed, out = _load(args)
-        started = time.time()
+def _study(name):
+    def run(cfg, seed, out, args):
         report = studies.STUDIES[name](cfg, out, seed,
                                        workers=max(1, args.workers),
                                        resume=args.resume)
-        io.write_manifest(os.path.join(out, f"study_{name}_manifest.json"),
-                          config_path=args.config, seed=seed,
-                          command=f"study-{name}", started=started,
-                          summary=report.summary, passed=report.passed,
-                          files=report.files)
         print(report)
-        return EXIT_OK if report.passed else EXIT_CHECK
+        return report.summary, report.passed, report.files
+    return run
+
+
+def _with_manifest(verb, manifest: str):
+    """Run verb(cfg, seed, out, args) -> (summary, passed, files), write its
+    manifest and exit 0 if it passed, else 3."""
+    def run(args) -> int:
+        cfg, seed, out = _load(args)
+        started = time.time()
+        summary, passed, files = verb(cfg, seed, out, args)
+        io.write_manifest(os.path.join(out, manifest),
+                          config_path=args.config, seed=seed,
+                          command=args.verb, started=started,
+                          summary=summary, passed=passed, files=files)
+        return EXIT_OK if passed else EXIT_CHECK
     return run
 
 
@@ -222,13 +194,12 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "simulate-ibm": _cmd_simulate_ibm,
-    "solve-pde": _cmd_solve_pde,
-    "flow": _cmd_flow,
-    "study-large-k": _cmd_study("large-k"),
-    "study-dirac": _cmd_study("dirac"),
-    "study-flow": _cmd_study("flow"),
-    "study-uniqueness": _cmd_study("uniqueness"),
+    "simulate-ibm": _with_manifest(_simulate_ibm, "ibm_manifest.json"),
+    "solve-pde": _with_manifest(_solve_pde, "pde_manifest.json"),
+    "flow": _with_manifest(_flow, "flow_manifest.json"),
+    **{f"study-{name}": _with_manifest(_study(name),
+                                       f"study_{name}_manifest.json")
+       for name in studies.STUDIES},
     "report": _cmd_report,
 }
 

@@ -78,7 +78,24 @@ def load_config(path: str) -> dict:
         raise ConfigError("'initial' must be a nonempty list of species specs")
     for n, entry in enumerate(cfg["initial"]):
         _check_keys(entry, _KEYS["initial"], f"initial[{n}]")
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: dict):
+    """Values that would otherwise fail deep inside a run."""
+    K = (cfg.get("ibm") or {}).get("K", [1])
+    if not isinstance(K, list) or not K:
+        raise ConfigError(f"ibm.K must be a nonempty list, got {K!r}")
+    ucfg = cfg.get("uniqueness") or {}
+    deltas = ucfg.get("deltas", [1.0])
+    if not isinstance(deltas, list) or not deltas or 0 in deltas:
+        raise ConfigError(f"uniqueness.deltas must be a nonempty list of "
+                          f"nonzero shifts, got {deltas!r}")
+    d, axis = int(cfg["model"].get("dim", 1)), ucfg.get("shift_axis", 0)
+    if not 0 <= int(axis) < d:
+        raise ConfigError(f"uniqueness.shift_axis must lie in [0, {d}), "
+                          f"got {axis!r}")
 
 
 # ---------------------------------------------------------------------

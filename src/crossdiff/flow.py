@@ -143,8 +143,8 @@ class ConvolutionTable:
 
 
 class FrozenCoefficients:
-    """Coefficients sigma(i,t,x), b(i,t,x) and the Feynman-Kac rate of the
-    flow frozen on a PDE solution, blended linearly in time between its
+    """Coefficients sigma_eff(i,t,x), b(i,t,x) and the Feynman-Kac rate of
+    the flow frozen on a PDE solution, blended linearly in time between its
     snapshots.
 
     Every Gaussian or compact-bump kernel of G, H and C is read from a
@@ -225,12 +225,10 @@ class FrozenCoefficients:
         return np.stack([self.convolved(kmat[i][j], j, t, X)
                          for j in range(self.model.M)], axis=1)
 
-    def sigma(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return self.model.eval_sigma(i, X, self._v_args(self.model.G, i, t, X))
-
     def sigma_eff(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        return self.noise_scale * self.sigma(i, t, X)
+        X = np.atleast_2d(X)
+        return self.noise_scale * self.model.eval_sigma(
+            i, X, self._v_args(self.model.G, i, t, X))
 
     def drift(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -373,8 +371,7 @@ def _inverse_coeff_fns(coeffs, i, t):
 
 def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
                  y: np.ndarray, dt: float, rng: np.random.Generator = None,
-                 increments: np.ndarray = None, h_fd: float = None,
-                 det_tol: float = 0.0) -> InverseFlowResult:
+                 increments: np.ndarray = None) -> InverseFlowResult:
     """Inverse flow eta_{., t}(y) with Jacobian and determinant evolution.
 
     Integrates Z_s(y) = eta_{t-s,t}(y), its variational Jacobian and the
@@ -387,8 +384,7 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
     m = max(1, int(round(t / dt)))
     h = t / m
     times = np.arange(m + 1) * h
-    if h_fd is None:
-        h_fd = 1e-4 * coeffs.domain_scale()
+    h_fd = 1e-4 * coeffs.domain_scale()
     if increments is None:
         if rng is None:
             raise ValueError("need an rng or precomputed increments")
@@ -440,7 +436,7 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
         _guard(z, "inverse flow")
         _guard(J, "inverse flow Jacobian")
         det = np.linalg.det(J)
-        if np.any(det <= det_tol) or np.any(D <= det_tol):
+        if np.any(det <= 0.0) or np.any(D <= 0.0):
             raise FlowError("nonpositive Jacobian determinant along an "
                             "inverse-flow path (diffeomorphism violated)")
         paths[k + 1], jac[k + 1], det_m[k + 1], det_s[k + 1] = z, J, det, D

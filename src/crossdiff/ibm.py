@@ -22,6 +22,7 @@ from . import rng as rngs
 from .initial import InitialCondition
 from .kernels import EmpiricalMeasure, convolve_empirical
 from .model import CoefficientModel
+from .pde import snapshot_steps
 
 
 class SimulationError(RuntimeError):
@@ -89,14 +90,10 @@ class SimParams:
 @dataclass
 class Trajectory:
     snapshots: list          # (time, PopulationState)
-    births: np.ndarray       # per-species counters
+    births: np.ndarray       # per-species totals over the run
     deaths: np.ndarray
     params: SimParams
     rng_descriptor: str
-
-    @property
-    def times(self):
-        return np.array([t for t, _ in self.snapshots])
 
     def masses(self) -> np.ndarray:
         return np.array([[st.measure(i).mass for i in range(st.n_species)]
@@ -118,29 +115,12 @@ def sample_initial(init_specs: list, K: int,
     return PopulationState(species, K, 0.0)
 
 
-def _step_start_fields(state: PopulationState, model: CoefficientModel,
-                       need: str = "gh"):
-    """Convolved coefficient arguments at every particle, frozen measures."""
-    measures = [state.measure(j) for j in range(model.M)]
-    vg, vh, death = [], [], []
-    for i in range(model.M):
-        x = state.species[i].positions
-        n = x.shape[0]
-        g = np.zeros((n, model.M))
-        h = np.zeros((n, model.M))
-        dd = np.zeros(n)
-        if n:
-            for j in range(model.M):
-                if "g" in need:
-                    g[:, j] = convolve_empirical(model.G[i][j], measures[j], x)
-                if "h" in need:
-                    h[:, j] = convolve_empirical(model.H[i][j], measures[j], x)
-                if "d" in need and model.C is not None:
-                    dd += convolve_empirical(model.C[i][j], measures[j], x)
-        vg.append(g)
-        vh.append(h)
-        death.append(dd)
-    return vg, vh, death
+def _row_fields(kmat, measures: list, i: int, x: np.ndarray) -> np.ndarray:
+    """(n, M) array of (k^ij * nu^j)(x) over the step-start measures nu^j."""
+    out = np.zeros((x.shape[0], len(measures)))
+    for j, nu in enumerate(measures):
+        out[:, j] = convolve_empirical(kmat[i][j], nu, x)
+    return out
 
 
 def step_diffuse(state: PopulationState, model: CoefficientModel, dt: float,
@@ -148,15 +128,15 @@ def step_diffuse(state: PopulationState, model: CoefficientModel, dt: float,
     """Euler-Maruyama move of every particle, coefficients frozen at start."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vg, vh, _ = _step_start_fields(state, model, need="gh")
+    measures = [state.measure(j) for j in range(model.M)]
     new_species = []
     for i in range(model.M):
         x = state.species[i].positions
         if x.shape[0] == 0:
             new_species.append(state.species[i].copy())
             continue
-        b = model.eval_drift(i, x, vh[i])
-        s = model.eval_sigma(i, x, vg[i])
+        b = model.eval_drift(i, x, _row_fields(model.H, measures, i, x))
+        s = model.eval_sigma(i, x, _row_fields(model.G, measures, i, x))
         xi = rng.standard_normal(x.shape)
         move = b * dt + model.noise_scale * math.sqrt(dt) * \
             np.einsum("nkl,nl->nk", s, xi)
@@ -174,9 +154,11 @@ def step_demography(state: PopulationState, model: CoefficientModel,
     """Splitting demography with step-start frozen rates.
 
     Each particle independently clones with prob 1 - exp(-r dt) and dies
-    with prob 1 - exp(-D dt); both may happen (the clone survives).
+    with prob 1 - exp(-D dt), D = sum_j (C^ij * nu^j)(x); both may happen
+    (the clone survives).
     """
-    _, _, death = _step_start_fields(state, model, need="d")
+    measures = None if model.C is None else \
+        [state.measure(j) for j in range(model.M)]
     new_species = []
     next_id = state.next_id.copy()
     for i in range(model.M):
@@ -187,10 +169,13 @@ def step_demography(state: PopulationState, model: CoefficientModel,
             new_species.append(state.species[i].copy())
             continue
         r = model.eval_growth(i, x)
+        # sum() adds the columns in j order, one at a time
+        death = 0.0 if measures is None else \
+            sum(_row_fields(model.C, measures, i, x).T)
         u_birth = rng.random(n)
         u_death = rng.random(n)
         born = u_birth < -np.expm1(-r * dt)
-        dead = u_death < -np.expm1(-death[i] * dt)
+        dead = u_death < -np.expm1(-death * dt)
         clones = x[born]
         keep = ~dead
         pos = np.vstack([x[keep], clones])
@@ -202,40 +187,24 @@ def step_demography(state: PopulationState, model: CoefficientModel,
     return PopulationState(new_species, state.K, state.t, next_id)
 
 
-def _demography_counts(before: PopulationState, after: PopulationState,
-                       births, deaths):
-    for i in range(before.n_species):
-        cur = after.species[i].ids
-        n_new = int(np.sum(cur >= before.next_id[i]))
-        births[i] += n_new
-        deaths[i] += before.species[i].ids.shape[0] - (cur.shape[0] - n_new)
-
-
 # ---------------------------------------------------------------------
 
 def _simulate_splitting(model, state, params):
-    births = np.zeros(model.M, dtype=np.int64)
-    deaths = np.zeros(model.M, dtype=np.int64)
     n_steps = int(round(params.t_end / params.dt))
-    snap_steps = {int(round(t / params.dt)): t for t in params.snapshot_times}
-    for t in params.snapshot_times:
-        if abs(round(t / params.dt) * params.dt - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"snapshot time {t} is not on the step grid")
+    snap_steps = snapshot_steps(params.snapshot_times, params.dt)
     snapshots = []
     if 0 in snap_steps:
         snapshots.append((0.0, state.copy()))
     for k in range(n_steps):
         state = step_diffuse(state, model, params.dt,
                              rngs.stream(params.seed, k, rngs.DIFFUSE))
-        before = state
         state = step_demography(state, model, params.dt,
                                 rngs.stream(params.seed, k, rngs.DEMOGRAPHY))
-        _demography_counts(before, state, births, deaths)
         if int(state.counts().sum()) > params.ceiling:
             raise SimulationError("population exceeded the configured ceiling")
         if k + 1 in snap_steps:
             snapshots.append((snap_steps[k + 1], state.copy()))
-    return snapshots, births, deaths
+    return snapshots, state
 
 
 def _total_rate_bound(model: CoefficientModel, state: PopulationState):
@@ -263,8 +232,6 @@ def _diffuse_interval(model, state, tau, dt, seed, counter):
 
 
 def _simulate_thinned(model, state, params):
-    births = np.zeros(model.M, dtype=np.int64)
-    deaths = np.zeros(model.M, dtype=np.int64)
     snapshots = []
     snap_iter = list(params.snapshot_times)
     if snap_iter and snap_iter[0] == 0.0:
@@ -290,27 +257,18 @@ def _simulate_thinned(model, state, params):
                                   params.seed, (event_counter, 2))
         t = target
         state.t = t
+        # a positive total rate bound means at least one particle: pick one
+        # uniformly and accept or reject by its true rates
         counts = state.counts()
         n_total = int(counts.sum())
-        if n_total == 0:
-            # only snapshots remain
-            continue_flag = bool(snap_iter)
-            if not continue_flag:
-                break
-            event_counter += 1
-            continue
-        # pick a particle uniformly, accept/reject by the true rates
         pick = int(g.integers(0, n_total))
         i = int(np.searchsorted(np.cumsum(counts), pick, side="right"))
         local = pick - int(np.sum(counts[:i]))
         x = state.species[i].positions[local:local + 1]
         theta = g.uniform(0.0, per_particle)
         r_val = float(model.eval_growth(i, x)[0])
-        d_val = 0.0
-        if model.C is not None:
-            for j in range(model.M):
-                d_val += float(convolve_empirical(model.C[i][j],
-                                                  state.measure(j), x)[0])
+        d_val = 0.0 if model.C is None else float(sum(_row_fields(
+            model.C, [state.measure(j) for j in range(model.M)], i, x).T)[0])
         if r_val + d_val > per_particle * (1.0 + 1e-12):
             raise SimulationError(
                 f"species {i} rate r + d = {r_val + d_val:g} at t={t:g} "
@@ -321,28 +279,30 @@ def _simulate_thinned(model, state, params):
             sp.positions = np.vstack([sp.positions, x])
             sp.ids = np.append(sp.ids, state.next_id[i])
             state.next_id[i] += 1
-            births[i] += 1
         elif theta < r_val + d_val:
             sp = state.species[i]
             keep = np.ones(sp.positions.shape[0], dtype=bool)
             keep[local] = False
             sp.positions = sp.positions[keep]
             sp.ids = sp.ids[keep]
-            deaths[i] += 1
         if int(state.counts().sum()) > params.ceiling:
             raise SimulationError("population exceeded the configured ceiling")
         event_counter += 1
-    return snapshots, births, deaths
+    return snapshots, state
 
 
 def simulate(model: CoefficientModel, init_specs: list,
              params: SimParams) -> Trajectory:
-    """Run the population process; identical (seed, scheme) => identical output."""
+    """Run the population process; identical (seed, scheme) => identical output.
+
+    Only a birth draws a new id, so the births of a species are the ids it
+    drew, and its deaths close the balance of its particle counts."""
     state = sample_initial(init_specs, params.K,
                            rngs.stream(params.seed, rngs.INIT))
-    if params.scheme == "splitting":
-        snaps, births, deaths = _simulate_splitting(model, state, params)
-    else:
-        snaps, births, deaths = _simulate_thinned(model, state, params)
-    return Trajectory(snaps, births, deaths, params,
+    counts, next_id = state.counts(), state.next_id.copy()
+    run = _simulate_splitting if params.scheme == "splitting" \
+        else _simulate_thinned
+    snaps, last = run(model, state, params)
+    births = last.next_id - next_id
+    return Trajectory(snaps, births, counts + births - last.counts(), params,
                       rngs.describe(params.seed))

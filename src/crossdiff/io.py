@@ -45,12 +45,7 @@ def write_text(path: str, text: str):
 
 def write_particles_csv(path: str, trajectory):
     """One row per particle per snapshot: time, species, id, x0..x{d-1}."""
-    first = trajectory.snapshots[0][1]
-    d = 1
-    for st in first.species:
-        if st.positions.size:
-            d = st.positions.shape[1]
-            break
+    d = trajectory.snapshots[0][1].species[0].positions.shape[1]
     rows = [["time", "species", "id"] + [f"x{k}" for k in range(d)]]
     for t, state in trajectory.snapshots:
         for i, st in enumerate(state.species):

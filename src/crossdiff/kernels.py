@@ -33,6 +33,8 @@ FAMILIES = ("gaussian", "compact-bump", "constant", "tabulated")
 # Gaussian tails are cut at 6 bandwidths in fast paths; the discarded mass
 # is below 2e-9, under every test tolerance in the suite.
 GAUSSIAN_CUTOFF = 6.0
+# Elements of each intermediate array of a direct or gridded sum.
+CHUNK = 2 ** 22
 
 
 @lru_cache(maxsize=None)
@@ -212,15 +214,14 @@ class EmpiricalMeasure:
         return self.n_atoms / self.K
 
 
-def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x,
-                       chunk: int = 2 ** 22) -> np.ndarray | float:
+def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure,
+                       x) -> np.ndarray | float:
     """(k * nu)(x) = (1/K) sum_n k(x - x_n), exact to roundoff.
 
     x may be a single d-vector or an (n, d) batch; empty measures give 0.
     Gaussian kernels in d <= 2 go through Gaussian gridding when its cost,
     grid nodes x (N + Q), is below the N x Q of the direct sum (weighted by
-    GRIDDING_PAIR_COST in 2-d); every other case is the direct sum.  chunk
-    caps the elements of each intermediate.
+    GRIDDING_PAIR_COST in 2-d); every other case is the direct sum.
     """
     single = np.asarray(x, dtype=float).ndim == 1
     xq = np.atleast_2d(np.asarray(x, dtype=float))
@@ -234,9 +235,9 @@ def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x,
         pair_cost = GRIDDING_PAIR_COST if k.dim == 2 else 1.0
         if grid is not None and np.prod(grid[1]) * (n_atoms + n_query) \
                 < pair_cost * n_atoms * n_query:
-            out = _gridded_sum(k, nu.atoms, xq, nu.K, chunk, *grid)
+            out = _gridded_sum(k, nu.atoms, xq, nu.K, CHUNK, *grid)
         else:
-            out = _direct_sum(k, nu.atoms, xq, nu.K, chunk)
+            out = _direct_sum(k, nu.atoms, xq, nu.K, CHUNK)
     return float(out[0]) if single else out
 
 
@@ -311,8 +312,8 @@ def _gridded_sum(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray, K: int,
 # ---------------------------------------------------------------------
 # grid-field convolutions
 
-def convolve_field(k: KernelSpec, u: GridField, species: int, x,
-                   chunk: int = 2 ** 22) -> np.ndarray | float:
+def convolve_field(k: KernelSpec, u: GridField, species: int,
+                   x) -> np.ndarray | float:
     """Midpoint-rule quadrature of int k(x - y) u(y) dy at query points."""
     if k.dim != u.dim:
         raise ValueError("kernel and field dimensions differ")
@@ -324,7 +325,7 @@ def convolve_field(k: KernelSpec, u: GridField, species: int, x,
     centers = u.centers()
     vals = u.values[species].ravel() * u.cell_volume
     out = np.zeros(xq.shape[0])
-    block = max(1, chunk // max(1, centers.shape[0]))
+    block = max(1, CHUNK // max(1, centers.shape[0]))
     for start in range(0, xq.shape[0], block):
         q = xq[start:start + block]
         diff = q[:, None, :] - centers[None, :, :]

@@ -140,14 +140,14 @@ def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
     growth_fns = [constant_growth(ri) for ri in rates]
     bounds = _as_list(rbar, M) if rbar is not None else rates
     eye = np.eye(d)
-
-    if family == "constant-coefficients":
-        sig0 = _as_list(params.get("sigma0", 1.0), M)
-        b0 = np.broadcast_to(np.asarray(params.get("drift0", 0.0), float),
-                             (d,)).copy()
+    if family in ("constant-coefficients", "attraction-drift"):   # constant sigma
         sigma_fns = [
             (lambda s: lambda x, v: np.broadcast_to(s * eye, (x.shape[0], d, d)))(s)
-            for s in sig0]
+            for s in _as_list(params.get("sigma0", 1.0), M)]
+
+    if family == "constant-coefficients":
+        b0 = np.broadcast_to(np.asarray(params.get("drift0", 0.0), float),
+                             (d,)).copy()
         drift_fns = [lambda x, v: np.broadcast_to(b0, (x.shape[0], d))] * M
         L = 0.0
     elif family == "isotropic-saturating":
@@ -162,11 +162,7 @@ def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
         drift_fns = [lambda x, v: np.zeros((x.shape[0], d))] * M
         L = max(psi)     # slope of sqrt(psi s/(1+s)) blows up at s=0; see docs
     elif family == "attraction-drift":
-        sig0 = _as_list(params.get("sigma0", 1.0), M)
         alpha = float(params.get("alpha", 1.0))
-        sigma_fns = [
-            (lambda s: lambda x, v: np.broadcast_to(s * eye, (x.shape[0], d, d)))(s)
-            for s in sig0]
         def drift(x, v):
             nrm = np.sqrt(1.0 + np.sum(x * x, axis=1))
             return -alpha * x / nrm[:, None]

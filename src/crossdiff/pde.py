@@ -163,19 +163,25 @@ def step(u: GridField, model: CoefficientModel, dt: float,
     return out, clamped
 
 
+def snapshot_steps(times, dt: float) -> dict:
+    """{step index: time} of snapshot times that lie on the step grid of
+    dt; a time off that grid raises ValueError."""
+    steps = {}
+    for t in times:
+        k = int(round(t / dt))
+        if abs(k * dt - t) > 1e-9 + 1e-9 * abs(t):
+            raise ValueError(f"snapshot time {t} is not on the step grid")
+        steps[k] = t
+    return steps
+
+
 def solve(model: CoefficientModel, u0: GridField,
           params: SolverParams) -> PDESolution:
     """March the system to t_end, storing snapshots at requested times."""
     n_steps = int(round(params.t_end / params.dt))
     if abs(n_steps * params.dt - params.t_end) > 1e-9 * params.t_end:
         raise ValueError("t_end must be a multiple of dt")
-    snap_steps = []
-    for t in params.snapshot_times:
-        k = int(round(t / params.dt))
-        if abs(k * params.dt - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"snapshot time {t} is not on the step grid")
-        snap_steps.append(k)
-
+    snap_steps = snapshot_steps(params.snapshot_times, params.dt)
     u = u0.copy()
     u.time = 0.0
     snapshots = []

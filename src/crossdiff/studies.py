@@ -64,6 +64,14 @@ def _cache_store(out_dir: str, key: str, obj):
     io.write_text(_cache_path(out_dir, key), json.dumps(obj, sort_keys=True))
 
 
+def _map(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], on a thread pool when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def _sub_seed(seed: int, *key: int) -> int:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(k) for k in key))
@@ -83,19 +91,18 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     replicas = int(icfg.get("replicas", 10))
     model = build_model(cfg)
     init = build_initial(cfg)
-    lo, hi, shape = grid_box(cfg)
 
     snap_times = tuple(icfg.get("snapshot_times")
                        or [float(icfg["t_end"])])
     sp = solver_params(cfg)
     sp.snapshot_times = tuple(sorted(set(snap_times)))
-    u0 = project_to_grid(init, lo, hi, shape)
-    sol = pde.solve(model, u0, sp)
+    sol = pde.solve(model, project_to_grid(init, *grid_box(cfg)), sp)
     grid_measures = {t: [DiscreteMeasure.from_grid(sol.at_time(t), i)
                          for i in range(model.M)] for t in sp.snapshot_times}
     h = _cache_key(cfg)
 
-    def one(K, rep):
+    def one(job):
+        K, rep = job
         key = _cache_key("large-k", h, seed, K, rep)
         hit = _cache_load(out_dir, key, resume)
         if hit is not None:
@@ -117,11 +124,7 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         return dists
 
     jobs = [(K, rep) for K in K_list for rep in range(replicas)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda kr: one(*kr), jobs))
-    else:
-        results = [one(*kr) for kr in jobs]
+    results = _map(one, jobs, workers)
 
     rows, means = [], {}
     for t in sp.snapshot_times:
@@ -170,9 +173,7 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     eps_list = [float(e) for e in pcfg.get("eps") or []]
     if not eps_list:
         raise ValueError("pde.eps list must be nonempty for study-dirac")
-    init = build_initial(cfg)
-    lo, hi, shape = grid_box(cfg)
-    u0 = project_to_grid(init, lo, hi, shape)
+    u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     h = _cache_key(cfg)
     keys = [_cache_key("dirac", h, eps) for eps in eps_list]
     sups = [_cache_load(out_dir, key, resume) for key in keys]
@@ -192,12 +193,7 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         _cache_store(out_dir, keys[n], sup)
         return sup
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(one, todo))
-    else:
-        fresh = [one(n) for n in todo]
-    for n, sup in zip(todo, fresh):
+    for n, sup in zip(todo, _map(one, todo, workers)):
         sups[n] = sup
 
     fit = rate_fit(list(zip(eps_list, sups)), seed=seed)
@@ -236,29 +232,33 @@ def frozen_flow(cfg: dict, model, u0):
     return t, dt, sol, FrozenCoefficients.from_pde(model, sol)
 
 
+def flow_probes(cfg: dict, u0, quantiles) -> np.ndarray:
+    """flow.probes as (n, d) points; by default the given quantiles of the
+    cell centres of axis 0, which are points only in 1-d."""
+    probes = (cfg.get("flow") or {}).get("probes")
+    if probes is None:
+        if u0.dim != 1:
+            raise ConfigError(f"flow.probes must be set when model.dim is "
+                              f"{u0.dim}; the default probes are 1-d")
+        probes = np.quantile(u0.axis_centers(0), quantiles)[:, None]
+    return np.atleast_2d(np.asarray(probes, dtype=float)).reshape(-1, u0.dim)
+
+
 def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                resume: bool = False) -> StudyReport:
     """Density and functional estimates from the flow against the PDE."""
     fcfg = cfg.get("flow") or {}
     model = build_model(cfg)
     init = build_initial(cfg)
-    lo, hi, shape = grid_box(cfg)
-    u0 = project_to_grid(init, lo, hi, shape)
+    u0 = project_to_grid(init, *grid_box(cfg))
     n_paths = int(fcfg.get("n_paths", 200))
     if n_paths < 2:
         # the verdict compares against sample standard errors
         raise ConfigError(f"flow.n_paths must be at least 2, got {n_paths}")
     i = int(fcfg.get("species", 0))
+    y = flow_probes(cfg, u0, [0.3, 0.4, 0.5, 0.6, 0.7])
     t, dt, sol, coeffs = frozen_flow(cfg, model, u0)
     u_t = sol.at_time(t)
-
-    probes = fcfg.get("probes")
-    if probes is None:
-        axis = u_t.axis_centers(0)
-        probes = np.quantile(axis, [0.3, 0.4, 0.5, 0.6, 0.7])[:, None]
-    y = np.atleast_2d(np.asarray(probes, dtype=float))
-    if y.shape[1] != model.d:
-        y = y.reshape(-1, model.d)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
                                                        spawn_key=(41,)))
@@ -302,9 +302,9 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     axis = int(ucfg.get("shift_axis", 0))
     model = build_model(cfg)
     init = build_initial(cfg)
-    lo, hi, shape = grid_box(cfg)
+    box = grid_box(cfg)
     sp = solver_params(cfg)
-    u0 = project_to_grid(init, lo, hi, shape)
+    u0 = project_to_grid(init, *box)
     sol0 = pde.solve(model, u0, sp)
 
     # identical data run twice: distances must vanish to solver tolerance
@@ -322,7 +322,7 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     for delta in deltas:
         shift = np.zeros(model.d)
         shift[axis] = delta
-        u0p = project_to_grid([s.shifted(shift) for s in init], lo, hi, shape)
+        u0p = project_to_grid([s.shifted(shift) for s in init], *box)
         solp = pde.solve(model, u0p, sp)
         d0 = dist(sol0.snapshots[0], solp.snapshots[0])
         dist_t = [dist(a, b) for a, b in zip(sol0.snapshots, solp.snapshots)]

@@ -480,6 +480,49 @@ def test_cli_study_flow_rejects_fewer_than_two_paths(tmp_path, capsys,
     assert not (tmp_path / "out" / "flow_density.csv").exists()
 
 
+@pytest.mark.parametrize("verb,section,key,value", [
+    ("simulate-ibm", "ibm", "K", 200),
+    ("study-large-k", "ibm", "K", 200),
+    ("study-uniqueness", "uniqueness", "deltas", [0.2, 0.0]),
+    ("study-uniqueness", "uniqueness", "shift_axis", 1),
+    ("study-uniqueness", "uniqueness", "shift_axis", -1),
+])
+def test_cli_config_value_errors_name_their_key(tmp_path, capsys, verb,
+                                                section, key, value):
+    cfg = study_cfg(verb)
+    cfg.setdefault(section, {})[key] = value
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([verb, "--config", path,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and "Traceback" not in err
+
+
+def test_cli_flow_rejects_zero_paths_before_solving(tmp_path, capsys,
+                                                    monkeypatch):
+    from crossdiff import studies
+    solves = []
+    monkeypatch.setattr(studies.pde, "solve",
+                        lambda *args, **kwargs: solves.append(args))
+    cfg = study_cfg("study-flow")
+    cfg["flow"]["n_paths"] = 0
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main(["flow", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE and solves == []
+    assert "flow.n_paths must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["flow", "study-flow"])
+def test_cli_flow_in_2d_needs_probes(tmp_path, capsys, verb):
+    # the default probes are axis-0 quantiles, which are points only in 1-d
+    cfg = study_cfg("study-flow")
+    cfg["model"]["dim"] = 2
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main([verb, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    assert "flow.probes" in capsys.readouterr().err
+
+
 def test_package_import_leaves_scipy_interpolate_and_signal_unloaded():
     # each adds tens of milliseconds to every process start; only the
     # code that builds a spline table imports scipy.interpolate

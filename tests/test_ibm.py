@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from crossdiff.config import build_model
 from crossdiff.ibm import (PopulationState, SimParams, SimulationError,
-                           SpeciesState, _step_start_fields, sample_initial,
+                           SpeciesState, _row_fields, sample_initial,
                            simulate, step_demography, step_diffuse)
 from crossdiff.initial import InitialCondition
 from crossdiff.kernels import KernelSpec
@@ -70,8 +70,8 @@ def test_death_rate_field_hand_case():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0,
                       C=const_kernels(1, 1, amp=c))
     st = one_species_state([[0.0], [2.0], [-1.0]], K=K)
-    _, _, death = _step_start_fields(st, m, need="d")
-    np.testing.assert_allclose(death[0], c * 3 / K, rtol=1e-12)
+    death = _row_fields(m.C, [st.measure(0)], 0, st.species[0].positions)
+    np.testing.assert_allclose(death[:, 0], c * 3 / K, rtol=1e-12)
 
 
 def test_competition_only_mass_nonincreasing():
@@ -167,11 +167,45 @@ def test_particle_ids_unique_and_never_reused(seed, r, c, scheme):
     assert traj.births[0] > 0 and traj.deaths[0] > 0
 
 
+@pytest.mark.parametrize("scheme", ["splitting", "thinned-events"])
+def test_births_and_deaths_balance_the_counts(scheme):
+    # two species with growth and Gaussian competition; a snapshot at every
+    # step sees every particle of the splitting scheme, so there the ids
+    # seen are an exact oracle for the counters, and a lower bound otherwise
+    C = [[KernelSpec("gaussian", 1, bandwidth=0.5, amplitude=a) for a in row]
+         for row in ((1.0, 0.5), (0.5, 1.0))]
+    m = builtin_model("constant-coefficients", 2, 1, sigma0=0.3,
+                      r=[1.0, 0.8], rbar=[3.0, 3.0], C=C)
+    init = [InitialCondition(0.5, "gaussian", std=0.6),
+            InitialCondition(0.4, "gaussian", mean=0.3, std=0.6)]
+    traj = simulate(m, init, SimParams(
+        t_end=1.0, dt=0.05, K=100, seed=5, scheme=scheme,
+        snapshot_times=tuple(np.arange(21) * 0.05)))
+    first, last = traj.snapshots[0][1], traj.snapshots[-1][1]
+    np.testing.assert_array_equal(
+        last.counts(), first.counts() + traj.births - traj.deaths)
+    assert np.all(traj.births > 0) and np.all(traj.deaths > 0)
+    for i in range(2):
+        seen = set()
+        for _, state in traj.snapshots:
+            ids = state.species[i].ids
+            assert np.unique(ids).size == ids.size
+            seen |= set(ids.tolist())
+        n0, n1 = first.counts()[i], last.counts()[i]
+        assert max(seen) < n0 + traj.births[i]
+        if scheme == "splitting":
+            assert (traj.births[i], traj.deaths[i]) == (len(seen) - n0,
+                                                        len(seen) - n1)
+        else:
+            assert traj.births[i] >= len(seen) - n0
+            assert traj.deaths[i] >= len(seen) - n1
+
+
 def test_snapshot_off_grid_rejected():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.2)
     init = [InitialCondition(0.5, "gaussian")]
     p = SimParams(t_end=1.0, dt=0.1, K=10, seed=0, snapshot_times=(0.333,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not on the step grid"):
         simulate(m, init, p)
 
 

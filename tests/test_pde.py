@@ -132,7 +132,7 @@ def test_time_grid_validation():
     u0 = gaussian_field()
     with pytest.raises(ValueError):
         solve(m, u0, SolverParams(dt=0.3, t_end=1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not on the step grid"):
         solve(m, u0, SolverParams(dt=0.25, t_end=1.0,
                                   snapshot_times=(0.13,)))
     with pytest.raises(ValueError):
