@@ -137,7 +137,7 @@ def _flow(cfg, seed, out, args):
                                                         spawn_key=(72,)))
     comp_err = float(np.mean(compose_inverse_forward(coeffs, i, t, yy, dt,
                                                      rng2)))
-    rows = [(float(p[0]) if model.d == 1 else str(list(p)),
+    rows = [(float(p[0]) if model.d == 1 else str(p.tolist()),
              float(np.mean(inv.det_matrix[-1].reshape(len(y), n_paths)[j])),
              float(np.mean(inv.det_sde[-1].reshape(len(y), n_paths)[j])))
             for j, p in enumerate(y)]

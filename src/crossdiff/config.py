@@ -218,10 +218,18 @@ def build_initial(cfg: dict) -> list:
     return out
 
 
+def _required(cfg: dict, section: str, *keys) -> dict:
+    """A config section that must be present with the given keys."""
+    sec = cfg.get(section)
+    missing = ([f"section {section!r}"] if sec is None else
+               [f"key {section}.{k}" for k in keys if k not in sec])
+    if missing:
+        raise ConfigError(f"config is missing required {missing[0]}")
+    return sec
+
+
 def sim_params(cfg: dict, K: int, seed: int) -> SimParams:
-    icfg = cfg.get("ibm")
-    if icfg is None:
-        raise ConfigError("config has no 'ibm' section")
+    icfg = _required(cfg, "ibm", "t_end", "dt")
     return SimParams(t_end=float(icfg["t_end"]), dt=float(icfg["dt"]),
                      K=int(K), scheme=icfg.get("scheme", "splitting"),
                      seed=int(seed),
@@ -230,9 +238,7 @@ def sim_params(cfg: dict, K: int, seed: int) -> SimParams:
 
 
 def solver_params(cfg: dict, mode=None) -> SolverParams:
-    pcfg = cfg.get("pde")
-    if pcfg is None:
-        raise ConfigError("config has no 'pde' section")
+    pcfg = _required(cfg, "pde", "dt", "t_end")
     return SolverParams(dt=float(pcfg["dt"]), t_end=float(pcfg["t_end"]),
                         mode=mode or pcfg.get("mode", "kernel"),
                         snapshot_times=tuple(pcfg.get("snapshot_times") or ()),
@@ -241,9 +247,7 @@ def solver_params(cfg: dict, mode=None) -> SolverParams:
 
 
 def grid_box(cfg: dict):
-    pcfg = cfg.get("pde")
-    if pcfg is None:
-        raise ConfigError("config has no 'pde' section")
+    pcfg = _required(cfg, "pde", "lo", "hi", "cells")
     d = int(cfg["model"].get("dim", 1))
     lo = np.broadcast_to(np.asarray(pcfg["lo"], float), (d,)).copy()
     hi = np.broadcast_to(np.asarray(pcfg["hi"], float), (d,)).copy()

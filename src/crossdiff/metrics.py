@@ -13,16 +13,19 @@ Any feasible phi extends to all of R^d with the same Lipschitz constant
 pair set is complete.  In d = 1 adjacent pairs of the sorted support are
 complete, and the LP value is returned.
 
-In higher dimension the LP starts from kNN + random pairs.  Its value on a
-partial pair set is an upper bound UB.  The McShane extensions of its phi,
-min_w [phi(w) + a|z - w|] and max_w [phi(w) - a|z - w|], with (phi, a, b)
-divided by max(1, a + b) and clipped to [-b, b], are exactly feasible, so
-the better of the two gives a lower bound LB (McShane, Bull. AMS 40, 1934).
-Violated pairs are added (cutting planes) only while the duality gap
-UB - LB exceeds GAP_TOL * ||eta||_1 (Kelley, J. SIAM 8, 1960); the value
-returned is LB, and the certificate phi is that extension, which is feasible
-and attains it.  A gap still open after CUT_ROUNDS rounds, or after a round
-that finds no violated pair to add, raises BLError.
+In higher dimension the LP starts from each point's 4 nearest neighbours
+and every pair within 1.5 median nearest-neighbour distances (on a lattice,
+the 8-point stencil and one 2-step pair per corner); nothing is random, so
+the engine takes no seed.  Its value on a partial pair set is an upper
+bound UB.  The McShane extensions of its phi, min_w [phi(w) + a|z - w|]
+and max_w [phi(w) - a|z - w|], with (phi, a, b) divided by max(1, a + b)
+and clipped to [-b, b], are exactly feasible, so the better of the two
+gives a lower bound LB (McShane, Bull. AMS 40, 1934).  Violated pairs are
+added (cutting planes) only while the duality gap UB - LB exceeds
+GAP_TOL * ||eta||_1 (Kelley, J. SIAM 8, 1960); the value returned is LB,
+and the certificate phi is that extension, which is feasible and attains
+it.  A gap still open after CUT_ROUNDS rounds, or after a round that finds
+no violated pair to add, raises BLError.
 
 Every certificate records ub, lb and the cutting-plane rounds.  In d = 1 lb
 comes from an O(n) sweep over the sorted support and only checks the LP
@@ -109,8 +112,8 @@ def _signed_union(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return uniq, eta
 
 
-def _pair_set(points: np.ndarray, rng):
-    """Initial constraint pairs: complete in d = 1, 8-NN + random above."""
+def _pair_set(points: np.ndarray):
+    """Initial constraint pairs: complete in d = 1, local stencil above."""
     n, d = points.shape
     if n < 2:
         return np.zeros((0, 2), dtype=int)
@@ -118,14 +121,11 @@ def _pair_set(points: np.ndarray, rng):
         order = np.argsort(points[:, 0], kind="stable")
         return np.stack([order[:-1], order[1:]], axis=1)
     tree = cKDTree(points)
-    _, nbr = tree.query(points, k=min(9, n))
+    dist, nbr = tree.query(points, k=min(5, n))
     ii = np.repeat(np.arange(n), nbr.shape[1] - 1)
-    jj = nbr[:, 1:].ravel()
-    rnd = rng.integers(0, n, size=(4 * n, 2))
-    pairs = np.vstack([np.stack([ii, jj], axis=1), rnd])
-    pairs = np.sort(pairs, axis=1)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    return np.unique(pairs, axis=0)
+    near = tree.query_pairs(1.5 * np.median(dist[:, 1]), output_type="ndarray")
+    pairs = np.vstack([np.stack([ii, nbr[:, 1:].ravel()], axis=1), near])
+    return np.unique(np.sort(pairs, axis=1), axis=0)
 
 
 def _pair_dists(points, pairs):
@@ -169,11 +169,11 @@ def _solve_lp(points, eta, pairs):
     return float(eta @ phi), phi, float(res.x[n]), float(res.x[n + 1])
 
 
-def _exact_lp(points, eta, rng) -> BLResult:
+def _exact_lp(points, eta) -> BLResult:
     n, d = points.shape
     if n > EXACT_LP_LIMIT:
         raise ValueError(f"support size {n} exceeds exact-lp limit")
-    pairs = _pair_set(points, rng)
+    pairs = _pair_set(points)
     tol = GAP_TOL * float(np.abs(eta).sum())
     for rounds in range(CUT_ROUNDS + 1):
         if rounds:
@@ -267,23 +267,21 @@ def _distance_rows(points):
         yield start, stop, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def bl_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                seed: int = 0) -> BLResult:
+def bl_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BLResult:
     """Bounded-Lipschitz dual-norm distance ||mu - nu||_LB*."""
     points, eta = _signed_union(mu, nu)
     if points.shape[0] == 0 or not np.any(np.abs(eta) > 0):
         return BLResult(0.0, {"ub": 0.0, "lb": 0.0, "rounds": 0})
-    return _exact_lp(points, eta, np.random.default_rng(seed))
+    return _exact_lp(points, eta)
 
 
-def bl_distance_fields(u: GridField, w: GridField,
-                       seed: int = 0) -> BLResult:
+def bl_distance_fields(u: GridField, w: GridField) -> BLResult:
     """Sum over species of BL distances between two grid solutions; the
     certificate holds the summed bounds ub, lb and the most rounds."""
     if u.n_species != w.n_species:
         raise ValueError("species counts differ")
     res = [bl_distance(DiscreteMeasure.from_grid(u, i),
-                       DiscreteMeasure.from_grid(w, i), seed=seed)
+                       DiscreteMeasure.from_grid(w, i))
            for i in range(u.n_species)]
     return BLResult(sum(r.value for r in res),
                     {"ub": sum(r.certificate["ub"] for r in res),

@@ -93,7 +93,7 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     init = build_initial(cfg)
 
     snap_times = tuple(icfg.get("snapshot_times")
-                       or [float(icfg["t_end"])])
+                       or [sim_params(cfg, 1, seed).t_end])
     sp = solver_params(cfg)
     sp.snapshot_times = tuple(sorted(set(snap_times)))
     sol = pde.solve(model, project_to_grid(init, *grid_box(cfg)), sp)
@@ -117,8 +117,7 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
             total = 0.0
             for i in range(model.M):
                 emp = DiscreteMeasure.from_empirical(state.measure(i))
-                total += bl_distance(emp, grid_measures[t][i],
-                                     seed=params.seed).value
+                total += bl_distance(emp, grid_measures[t][i]).value
             dists[f"{t:.12g}"] = total
         _cache_store(out_dir, key, dists)
         return dists
@@ -188,8 +187,7 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         sol = pde.solve(model, u0, solver_params(cfg, mode="kernel"))
         sup = 0.0
         for snap_loc, snap in zip(sol_loc.snapshots, sol.snapshots):
-            sup = max(sup,
-                      bl_distance_fields(snap, snap_loc, seed=seed).value)
+            sup = max(sup, bl_distance_fields(snap, snap_loc).value)
         _cache_store(out_dir, keys[n], sup)
         return sup
 
@@ -220,9 +218,9 @@ def frozen_flow(cfg: dict, model, u0):
     every 10 flow steps flow.dt.  Returns (t, dt, solution, coefficients).
     """
     fcfg = cfg.get("flow") or {}
-    t = float(fcfg.get("t", cfg["pde"]["t_end"]))
-    dt = float(fcfg.get("dt", 1e-3))
     sp = solver_params(cfg)
+    t = float(fcfg.get("t", sp.t_end))
+    dt = float(fcfg.get("dt", 1e-3))
     t = round(t / sp.dt) * sp.dt
     sp.t_end = t
     n_snap = max(2, int(math.ceil(t / (10.0 * dt))) + 1)
@@ -276,7 +274,7 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     mass_pde = float(u_t.mass(i))
     fk_ok = abs(fk.value - mass_pde) <= 3.0 * fk.stderr + budget
 
-    rows = [(float(yv[0]) if model.d == 1 else str(list(yv)),
+    rows = [(float(yv[0]) if model.d == 1 else str(yv.tolist()),
              float(v), float(e), float(p), bool(o))
             for yv, v, e, p, o in zip(y, vals, errs, pde_vals, ok_pts)]
     csv_path = os.path.join(out_dir, "flow_density.csv")
@@ -312,7 +310,7 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     certs = []    # every BL certificate, for the gap and rounds summary
 
     def dist(a, b):
-        res = bl_distance_fields(a, b, seed=seed)
+        res = bl_distance_fields(a, b)
         certs.append(res.certificate)
         return res.value
     d_same = max(dist(a, b)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -498,6 +499,24 @@ def test_cli_config_value_errors_name_their_key(tmp_path, capsys, verb,
     assert f"{section}.{key}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb,section,key", [
+    ("simulate-ibm", "ibm", "t_end"), ("simulate-ibm", "ibm", "dt"),
+    ("solve-pde", "pde", "lo"), ("solve-pde", "pde", "hi"),
+    ("solve-pde", "pde", "cells"), ("solve-pde", "pde", "dt"),
+    ("solve-pde", "pde", "t_end"), ("study-large-k", "ibm", "t_end"),
+    ("flow", "pde", "t_end"),
+])
+def test_cli_missing_required_key_names_it(tmp_path, capsys, verb, section,
+                                           key):
+    cfg = base_cfg()
+    del cfg[section][key]
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([verb, "--config", path,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and "Traceback" not in err
+
+
 def test_cli_flow_rejects_zero_paths_before_solving(tmp_path, capsys,
                                                     monkeypatch):
     from crossdiff import studies
@@ -521,6 +540,18 @@ def test_cli_flow_in_2d_needs_probes(tmp_path, capsys, verb):
     code = cli.main([verb, "--config", path, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_USAGE
     assert "flow.probes" in capsys.readouterr().err
+
+
+def test_cli_flow_2d_probe_column_parses_to_floats(tmp_path, capsys):
+    cfg = study_cfg("study-flow")
+    cfg["model"]["dim"] = 2
+    cfg["flow"]["probes"] = [[0.0, 0.0], [0.3, 0.1]]
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main(["flow", "--config", path, "--out", str(tmp_path / "o")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK)
+    with open(tmp_path / "o" / "flow_diagnostics.csv", newline="") as f:
+        ys = [json.loads(row["y"]) for row in csv.DictReader(f)]
+    assert ys == [[0.0, 0.0], [0.3, 0.1]]
 
 
 def test_package_import_leaves_scipy_interpolate_and_signal_unloaded():

@@ -139,7 +139,7 @@ def test_cutting_plane_round_cap_raises_bl_error(monkeypatch):
     monkeypatch.setattr(M, "_extensions",
                         lambda points, phi, a: (0.0 * phi, 0.0 * phi))
     monkeypatch.setattr(M, "_pair_set",
-                        lambda points, rng: np.array([[0, 1]]))
+                        lambda points: np.array([[0, 1]]))
     fresh = iter(range(2, 40))
     monkeypatch.setattr(M, "_violated_pairs",
                         lambda points, phi, a: np.array([[0, next(fresh)]]))
@@ -193,6 +193,32 @@ def test_grid_24_certified_where_violation_stop_failed():
     # the better of the two extensions closes the gap at once; the lower
     # one alone needs 5 rounds here
     assert c["rounds"] == 0
+
+
+def test_seed_on_a_lattice_is_the_stencil_plus_one_pair_per_corner():
+    # every pair within 1.5 steps is the 8-point stencil; a corner's fourth
+    # nearest neighbour is two steps away, which adds one pair per corner
+    h = 8.0 / 12
+    pts = gaussian_field(12, 0.0).centers()
+    pairs = M._pair_set(pts)
+    steps2 = np.round((M._pair_dists(pts, pairs) / h) ** 2).astype(int)
+    assert len(pairs) == 510 and np.sum(steps2 <= 2) == 506
+    long = pairs[steps2 > 2]
+    assert np.all(steps2[steps2 > 2] == 4)
+    corner = np.all(np.abs(pts) > 4.0 - h, axis=1)
+    assert sorted(np.nonzero(corner)[0]) == sorted(long[corner[long]])
+
+
+def test_cloud_against_grid_certified_within_three_solves(monkeypatch):
+    # a seed of only the pairs within 1.5 nearest-neighbour distances
+    # needs 6 LP solves here
+    rng = np.random.default_rng(5)
+    mu = dm(rng.normal(scale=0.6, size=(300, 2)), np.full(300, 0.8 / 300))
+    nu = DiscreteMeasure.from_grid(gaussian_field(16, 0.0), 0)
+    solves = counted_lp(monkeypatch)
+    res = bl_distance(mu, nu)
+    assert_certificate_exact(res, M._signed_union(mu, nu)[1])
+    assert len(solves) <= 3
 
 
 def test_lower_bound_divides_out_budget_slack():
