@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import os
-import tempfile
 import time as _time
 
 import numpy as np
@@ -25,7 +24,10 @@ from .grids import GridField
 def _atomic_write(path: str, data: bytes):
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    # a plain open() mode, so the umask applies (mkstemp forces 0600); the
+    # random name and O_EXCL keep concurrent writers apart
+    tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

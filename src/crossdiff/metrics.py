@@ -28,8 +28,7 @@ it.  A gap still open after CUT_ROUNDS rounds, or after a round that finds
 no violated pair to add, raises BLError.
 
 Every certificate records ub, lb and the cutting-plane rounds.  In d = 1 lb
-comes from an O(n) sweep over the sorted support and only checks the LP
-solver.
+only checks the LP solver.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from .grids import GridField
-from .kernels import EmpiricalMeasure
 
 EXACT_LP_LIMIT = 50_000
 CUT_ROUNDS = 30
@@ -68,11 +66,6 @@ class DiscreteMeasure:
         if not (np.all(np.isfinite(self.points))
                 and np.all(np.isfinite(self.weights))):
             raise ValueError("measure data must be finite")
-
-    @classmethod
-    def from_empirical(cls, nu: EmpiricalMeasure) -> "DiscreteMeasure":
-        w = np.full(nu.n_atoms, 1.0 / nu.K)
-        return cls(nu.atoms, w)
 
     @classmethod
     def from_grid(cls, u: GridField, species: int) -> "DiscreteMeasure":
@@ -217,27 +210,8 @@ def _lower_bound(points, eta, phi, a, b):
 def _extensions(points, phi, a):
     """McShane extensions of phi over the support, as the rows of one
     (2, n) array: the lower min_w [phi(w) + a|z - w|] and the upper
-    max_w [phi(w) - a|z - w|].  A sweep over the sorted points in d = 1, a
-    chunked scan above."""
-    n = points.shape[0]
-    out = np.empty((2, n))
-    if points.shape[1] == 1:
-        # running min/max over w <= z and w >= z, in one buffer: separate
-        # temporaries raised the large-k peak RSS by 3 MB
-        order = np.argsort(points[:, 0], kind="stable")
-        p, ax = phi[order], a * points[order, 0]
-        run = np.empty((4, n))
-        np.minimum.accumulate(p - ax, out=run[0])
-        np.minimum.accumulate((p + ax)[::-1], out=run[1, ::-1])
-        np.maximum.accumulate(p + ax, out=run[2])
-        np.maximum.accumulate((p - ax)[::-1], out=run[3, ::-1])
-        run[0] += ax
-        run[1] -= ax
-        run[2] -= ax
-        run[3] += ax
-        out[0, order] = np.minimum(run[0], run[1])
-        out[1, order] = np.maximum(run[2], run[3])
-        return out
+    max_w [phi(w) - a|z - w|], by a chunked scan."""
+    out = np.empty((2, points.shape[0]))
     for start, stop, dist in _distance_rows(points):
         out[0, start:stop] = np.min(phi + a * dist, axis=1)
         out[1, start:stop] = np.max(phi - a * dist, axis=1)

@@ -201,6 +201,18 @@ def test_rows_csv_and_atomicity(tmp_path):
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    # the temp file behind each atomic write is made with the umask
+    # applied, like open(); mkstemp made every output 0600
+    old = os.umask(0o022)
+    try:
+        path = str(tmp_path / "rows.csv")
+        io.write_rows_csv(path, ["a"], [(1,)])
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o644
+
+
 def test_config_hash_is_sha256(tmp_path):
     path = write_cfg(tmp_path, base_cfg())
     expect = hashlib.sha256(open(path, "rb").read()).hexdigest()
@@ -465,6 +477,98 @@ def test_cli_study_identical_across_workers_and_resume(tmp_path, capsys,
     assert codes == [codes[0]] * 3
     assert tables[0] == tables[1] == tables[2]
     assert tables[0].count(b"\n") > 1
+
+
+def test_cli_large_k_resume_recomputes_entries_cached_before_binning(
+        tmp_path, capsys, monkeypatch):
+    from crossdiff import studies
+    cfg = study_cfg("study-large-k")
+    path = write_cfg(tmp_path, cfg)
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    code = cli.main(["study-large-k", "--config", path, "--out", str(fresh)])
+    # unbinned distances, under the key and in the form they had before
+    # the observable was BL(P_h mu_K, u_h)
+    parsed = load_config(path)
+    h, seed = studies._cache_key(parsed), parsed["seed"]
+    for K in cfg["ibm"]["K"]:
+        for rep in range(cfg["ibm"]["replicas"]):
+            studies._cache_store(
+                str(stale), studies._cache_key("large-k", h, seed, K, rep),
+                {"0.1": 123.0})
+    runs, simulate = [], studies.ibm.simulate
+
+    def counted(*args, **kwargs):
+        runs.append(args[2].K)
+        return simulate(*args, **kwargs)
+    monkeypatch.setattr(studies.ibm, "simulate", counted)
+    assert cli.main(["study-large-k", "--config", path, "--out", str(stale),
+                     "--resume"]) == code
+    assert len(runs) == len(cfg["ibm"]["K"]) * cfg["ibm"]["replicas"]
+    assert ((stale / "large_k.csv").read_bytes()
+            == (fresh / "large_k.csv").read_bytes())
+    # the entries written now hold distance and q: a rerun reads them all
+    runs.clear()
+    assert cli.main(["study-large-k", "--config", path, "--out", str(stale),
+                     "--resume"]) == code
+    assert runs == []
+    assert ((stale / "large_k.csv").read_bytes()
+            == (fresh / "large_k.csv").read_bytes())
+
+
+def test_cli_large_k_in_2d_with_two_species(tmp_path, capsys):
+    from crossdiff import ibm, pde, studies
+    from crossdiff.metrics import bl_distance_fields
+    cfg = {
+        "seed": 5,
+        "model": {"M": 2, "dim": 2, "family": "constant-coefficients",
+                  "params": {"sigma0": 0.3}, "r": [0.2, 0.2],
+                  "rbar": [0.2, 0.2],
+                  "kernels": {"C": {"family": "gaussian", "bandwidth": 0.5,
+                                    "amplitudes": [[0.5, 0.2],
+                                                   [0.2, 0.5]]}}},
+        "initial": [{"mass": 0.5, "kind": "gaussian", "std": 0.6},
+                    {"mass": 0.4, "kind": "gaussian", "mean": [0.3, 0.0],
+                     "std": 0.6}],
+        "ibm": {"K": [20, 80], "dt": 0.05, "t_end": 0.1, "replicas": 2,
+                "snapshot_times": [0.1]},
+        "pde": {"lo": -3.0, "hi": 3.0, "cells": 8, "dt": 0.01,
+                "t_end": 0.1},
+    }
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["study-large-k", "--config", path, "--out", str(out),
+                     "--workers", "2"]) in (cli.EXIT_OK, cli.EXIT_CHECK)
+    with open(out / "large_k.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2
+
+    def one_species(f, i):
+        return GridField(f.lo, f.hi, f.values[i:i + 1], f.time)
+
+    # each replica again, with one bl_distance_fields call per species
+    parsed = load_config(path)
+    model, init = build_model(parsed), build_initial(parsed)
+    sp = solver_params(parsed)
+    sp.snapshot_times = (0.1,)
+    u = pde.solve(model, project_to_grid(init, *grid_box(parsed)),
+                  sp).at_time(0.1)
+    for n, (K, row) in enumerate(zip(cfg["ibm"]["K"], rows)):
+        dists, qs = [], []
+        for rep in range(2):
+            params = sim_params(parsed, K, studies._sub_seed(5, n, rep))
+            params.snapshot_times = sp.snapshot_times
+            state = ibm.simulate(model, init, params).snapshots[-1][1]
+            binned, q = studies._binned(state, u)
+            dists.append(sum(bl_distance_fields(one_species(binned, i),
+                                                one_species(u, i)).value
+                             for i in range(2)))
+            qs.append(q)
+        assert int(row["K"]) == K
+        assert float(row["mean_bl_distance"]) == pytest.approx(
+            np.mean(dists), rel=1e-10)
+        q_col = float(row["quantization"])
+        assert math.isfinite(q_col) and q_col > 0.0
+        assert q_col == pytest.approx(np.mean(qs), rel=1e-10)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])

@@ -8,13 +8,22 @@ from hypothesis import strategies as st
 
 import crossdiff.metrics as M
 from crossdiff.grids import GridField
+from crossdiff.ibm import PopulationState, SpeciesState
+from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import EmpiricalMeasure
-from crossdiff.metrics import DiscreteMeasure, bl_distance, rate_fit
+from crossdiff.metrics import (DiscreteMeasure, bl_distance,
+                               bl_distance_fields, rate_fit)
+from crossdiff.studies import _binned
 
 
 def dm(points, weights):
     return DiscreteMeasure(np.asarray(points, float).reshape(len(weights), -1),
                            np.asarray(weights, float))
+
+
+def from_empirical(nu: EmpiricalMeasure) -> DiscreteMeasure:
+    """The particle measure itself: one atom of mass 1/K per particle."""
+    return DiscreteMeasure(nu.atoms, np.full(nu.n_atoms, 1.0 / nu.K))
 
 
 def test_identical_measures():
@@ -296,14 +305,73 @@ def test_from_grid_and_from_empirical():
     assert g.weights.sum() == pytest.approx(1.0)   # 2 cells * 2.0 * 0.25
     assert g.points.shape[0] == 2                  # zero cells dropped
     nu = EmpiricalMeasure(np.array([[0.1], [0.9]]), K=4, species=0)
-    e = DiscreteMeasure.from_empirical(nu)
+    e = from_empirical(nu)
     assert e.weights.sum() == pytest.approx(0.5)
 
 
 def test_total_mass_atoms_over_k():
     nu = EmpiricalMeasure(np.zeros((30, 1)), K=12, species=0)
-    assert DiscreteMeasure.from_empirical(nu).weights.sum() == pytest.approx(
-        30 / 12)
+    assert from_empirical(nu).weights.sum() == pytest.approx(30 / 12)
+
+
+# particles of a [-2, 2]^d box with 8 cells an axis: inside, outside, and
+# exactly on the box edges
+BOX_LO, BOX_HI, BOX_CELLS = -2.0, 2.0, 8
+coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([BOX_LO, BOX_HI]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(xs=st.lists(st.tuples(coord, coord), min_size=1, max_size=40),
+       K=st.integers(1, 200))
+@example(xs=[(BOX_HI, BOX_HI), (3.0, -3.0), (0.1, 0.2)], K=3)
+def test_binning_moves_bl_by_at_most_q(d, xs, K):
+    x = np.array(xs)[:, :d]
+    n = x.shape[0]
+    state = PopulationState([SpeciesState(x, np.arange(n))], K)
+    u = project_to_grid([InitialCondition(0.5, std=0.7, dim=d)],
+                        np.full(d, BOX_LO), np.full(d, BOX_HI),
+                        (BOX_CELLS,) * d)
+    binned, q = _binned(state, u)
+    vol = u.cell_volume
+    counts = binned.values[0] * K * vol
+    assert np.all(binned.values >= 0.0)
+    # whole particles, all of them: the mass is n/K up to the rounding of
+    # density * volume
+    np.testing.assert_allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
+    assert np.rint(counts).sum() == n
+    assert binned.mass(0) == pytest.approx(n / K, rel=1e-12)
+    # a cell holds mass only if a particle, pulled into the box, lies in
+    # its closed cell
+    xc = np.clip(x, BOX_LO, BOX_HI)
+    h = u.spacing
+    for c in u.centers()[binned.values[0].ravel() > 0]:
+        assert np.any(np.all(np.abs(xc - c) <= h / 2 + 1e-12, axis=1))
+    # triangle inequality with Lip(phi) <= 1: the atoms and their cell
+    # centres are at most q apart in BL
+    atoms = bl_distance(from_empirical(state.measure(0)),
+                        DiscreteMeasure.from_grid(u, 0)).value
+    cells = bl_distance_fields(binned, u).value
+    assert abs(atoms - cells) <= q + 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_binning_bound_is_nearly_attained_inside_the_occupied_cell(d):
+    # all of u in one cell and one particle of the same mass 0.05 off its
+    # centre: binning erases a distance of 2q / (2 + 0.05), about q
+    K, h = 4, 0.5
+    values = np.zeros((1,) + (BOX_CELLS,) * d)
+    values[(0,) + (3,) * d] = 1.0 / (K * h ** d)
+    u = GridField(np.full(d, BOX_LO), np.full(d, BOX_HI), values)
+    x = np.full((1, d), BOX_LO + 3.5 * h)
+    x[0, 0] += 0.05
+    state = PopulationState([SpeciesState(x, np.arange(1))], K)
+    binned, q = _binned(state, u)
+    assert q == pytest.approx(0.05 / K)
+    assert bl_distance_fields(binned, u).value == pytest.approx(0.0, abs=1e-12)
+    atoms = bl_distance(from_empirical(state.measure(0)),
+                        DiscreteMeasure.from_grid(u, 0)).value
+    assert atoms == pytest.approx(2.0 * q / 2.05, rel=1e-6)
 
 
 def test_rate_fit_exact_slopes():
