@@ -116,7 +116,11 @@ def sample_initial(init_specs: list, K: int,
 
 
 def _row_fields(kmat, measures: list, i: int, x: np.ndarray) -> np.ndarray:
-    """(n, M) array of (k^ij * nu^j)(x) over the step-start measures nu^j."""
+    """(n, M) array of (k^ij * nu^j)(x) over the step-start measures nu^j.
+
+    Passing x = nu^i.atoms itself marks the j = i column as a
+    self-interaction, which the gridded sum evaluates with one factor pass.
+    """
     out = np.zeros((x.shape[0], len(measures)))
     for j, nu in enumerate(measures):
         out[:, j] = convolve_empirical(kmat[i][j], nu, x)
@@ -131,7 +135,7 @@ def step_diffuse(state: PopulationState, model: CoefficientModel, dt: float,
     measures = [state.measure(j) for j in range(model.M)]
     new_species = []
     for i in range(model.M):
-        x = state.species[i].positions
+        x = measures[i].atoms
         if x.shape[0] == 0:
             new_species.append(state.species[i].copy())
             continue
@@ -162,7 +166,8 @@ def step_demography(state: PopulationState, model: CoefficientModel,
     new_species = []
     next_id = state.next_id.copy()
     for i in range(model.M):
-        x = state.species[i].positions
+        x = state.species[i].positions if measures is None else \
+            measures[i].atoms
         ids = state.species[i].ids
         n = x.shape[0]
         if n == 0:

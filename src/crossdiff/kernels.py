@@ -7,13 +7,15 @@ gridding (k_eps = k_s * k_s, s = eps / sqrt(2), spread on a grid of step
 eps / 4 and gathered by the trapezoid rule, relative error ~exp(-8 pi^2))
 whenever its cost, grid nodes x (N + Q) for N atoms and Q queries, is below
 that of the direct sum; every other case is the direct sum, which is also
-the gridded route's test oracle.  Against a grid field, convolve_field is
-the midpoint-rule quadrature at arbitrary points, and convolve_field_grid
-gives the same quadrature at every cell centre (shifted by an optional
-sub-cell offset) for one kernel-species pair or a batch of them, through
-one FFT engine: one forward FFT of all species, one inverse FFT of the
-batch, and kernel spectra cached per kernel, grid shape, spacing and
-offset in a bounded, thread-safe LRU cache.  Its "direct" method is the
+the gridded route's test oracle.  When the queries are the atoms (the same
+array), the gather reuses the spread's factors while they fit in one chunk.
+Against a grid field, convolve_field is the midpoint-rule quadrature at
+arbitrary points, and convolve_field_grid gives the same quadrature at
+every cell centre (shifted by an optional sub-cell offset) for one
+kernel-species pair or a batch of them, through one FFT engine: one forward
+FFT of all species, one inverse FFT of the batch, and kernel spectra cached
+per kernel, grid shape, spacing and offset in a bounded, thread-safe LRU
+cache.  Its "direct" method is the
 oracle, and the two agree to 1e-8.
 """
 
@@ -278,33 +280,44 @@ def _gridding_grid(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray):
     return lo, np.ceil((hi - lo) / (GRIDDING_STEP * k.bandwidth)) + 1
 
 
+def _gridding_factors(pts: np.ndarray, axes: list, eps: float) -> list:
+    """Per-axis factor matrices exp(-((t - y) / eps)^2), k_s along one axis
+    up to its norm, each built in one buffer; in 1-d the second factor is
+    a column of ones."""
+    mats = []
+    for a, y in enumerate(axes):
+        m = np.subtract(pts[:, a, None], y)
+        m /= eps
+        np.square(m, out=m)
+        np.negative(m, out=m)
+        np.exp(m, out=m)
+        mats.append(m)
+    return mats if len(mats) == 2 else mats + [np.ones((pts.shape[0], 1))]
+
+
 def _gridded_sum(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray, K: int,
                  chunk: int, lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Spread the atoms on the grid with k_s, gather at the queries with k_s.
 
     The isotropic Gaussian factors over the axes, so with per-axis factor
-    matrices the spread is f = W_0 W_1^T and the gather sum (V_0 f) . V_1;
-    in 1-d the second factor is a column of ones.
+    matrices the spread is f = W_0 W_1^T and the gather sum (V_0 f) . V_1.
+    When the queries are the atoms themselves (xq is atoms) and their
+    factors fit in one chunk, the gather reads the spread's factors.
     """
     eps = k.bandwidth
     h = GRIDDING_STEP * eps
     axes = [a + h * np.arange(int(n)) for a, n in zip(lo, counts)]
-
-    def factors(pts):
-        # exp(-(t - y)^2 / eps^2) is k_s along one axis, up to its norm
-        mats = [np.exp(-np.square((pts[:, a, None] - y) / eps))
-                for a, y in enumerate(axes)]
-        return mats if len(mats) == 2 else mats + [np.ones((pts.shape[0], 1))]
-
     width = sum(y.size for y in axes) + 1
     block = max(1, chunk // width)
     f = 0.0
     for start in range(0, atoms.shape[0], block):
-        w0, w1 = factors(atoms[start:start + block])
-        f = f + w0.T @ w1
+        w = _gridding_factors(atoms[start:start + block], axes, eps)
+        f = f + w[0].T @ w[1]
+    reuse = xq is atoms and atoms.shape[0] <= block
     out = np.empty(xq.shape[0])
     for start in range(0, xq.shape[0], block):
-        v0, v1 = factors(xq[start:start + block])
+        v0, v1 = w if reuse else \
+            _gridding_factors(xq[start:start + block], axes, eps)
         out[start:start + block] = np.einsum("qb,qb->q", v0 @ f, v1)
     return out * (k.amplitude * h ** k.dim / (math.pi * eps * eps) ** k.dim / K)
 

@@ -285,14 +285,17 @@ def rate_fit(pairs, n_boot: int = 500, seed: int = 0) -> RateFit:
         raise ValueError("scales and distances must be positive")
     lx, ly = np.log(scales), np.log(dists)
     slope, intercept = np.polyfit(lx, ly, 1)
-    rng = np.random.default_rng(seed)
-    boots = []
-    for _ in range(n_boot):
-        idx = rng.integers(0, len(pairs), size=len(pairs))
-        if np.ptp(lx[idx]) < 1e-12:
-            continue
-        boots.append(np.polyfit(lx[idx], ly[idx], 1)[0])
-    if boots:
+    # all resamples in one draw (the same stream as one draw per resample),
+    # then the closed-form least-squares slope of every non-degenerate one
+    idx = np.random.default_rng(seed).integers(
+        0, len(pairs), size=(n_boot, len(pairs)))
+    bx = lx[idx]
+    keep = np.ptp(bx, axis=1) >= 1e-12
+    bx, by = bx[keep], ly[idx[keep]]
+    bx = bx - bx.mean(axis=1, keepdims=True)
+    boots = (np.einsum("bn,bn->b", bx, by - by.mean(axis=1, keepdims=True))
+             / np.einsum("bn,bn->b", bx, bx))
+    if boots.size:
         lo, hi = np.percentile(boots, [2.5, 97.5])
     else:
         lo = hi = slope

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,10 +109,15 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     model = build_model(cfg)
     init = build_initial(cfg)
 
-    snap_times = tuple(icfg.get("snapshot_times")
-                       or [sim_params(cfg, 1, seed).t_end])
+    snap_times = tuple(sorted(set(icfg.get("snapshot_times")
+                                  or [sim_params(cfg, 1, seed).t_end])))
     sp = solver_params(cfg)
-    sp.snapshot_times = tuple(sorted(set(snap_times)))
+    try:    # replace() re-runs the range check of SolverParams
+        sp = replace(sp, snapshot_times=snap_times)
+    except ValueError as e:
+        raise ConfigError(f"ibm.snapshot_times (default [ibm.t_end]) must "
+                          f"lie in [0, pde.t_end = {sp.t_end:g}], got "
+                          f"{list(snap_times)}") from e
     sol = pde.solve(model, project_to_grid(init, *grid_box(cfg)), sp)
     h = _cache_key(cfg)
 
@@ -123,8 +128,9 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         hit = _cache_load(out_dir, key, resume)
         if hit is not None:
             return hit
-        params = sim_params(cfg, K, _sub_seed(seed, K_list.index(K), rep))
-        params.snapshot_times = sp.snapshot_times
+        run_seed = _sub_seed(seed, K_list.index(K), rep)
+        params = replace(sim_params(cfg, K, run_seed),
+                         snapshot_times=sp.snapshot_times)
         traj = ibm.simulate(model, init, params)
         dists = []    # [distance, q] by snapshot time
         for t, state in traj.snapshots:

@@ -479,6 +479,26 @@ def test_cli_study_identical_across_workers_and_resume(tmp_path, capsys,
     assert tables[0].count(b"\n") > 1
 
 
+@pytest.mark.parametrize("ibm_snaps", [None, [0.05, 0.15]])
+def test_cli_large_k_snapshot_beyond_pde_horizon_is_usage_error(
+        tmp_path, capsys, ibm_snaps):
+    # IBM snapshots (by default at ibm.t_end = 0.2) past pde.t_end = 0.1
+    # have no PDE snapshot to compare with
+    cfg = study_cfg("study-large-k")
+    cfg["ibm"]["t_end"] = 0.2
+    cfg["ibm"].pop("snapshot_times")
+    if ibm_snaps is not None:
+        cfg["ibm"]["snapshot_times"] = ibm_snaps
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["study-large-k", "--config", path,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "ibm.snapshot_times" in err and "ibm.t_end" in err
+    assert "pde.t_end" in err
+    assert not (out / "large_k.csv").exists()
+
+
 def test_cli_large_k_resume_recomputes_entries_cached_before_binning(
         tmp_path, capsys, monkeypatch):
     from crossdiff import studies

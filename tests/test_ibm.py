@@ -74,6 +74,40 @@ def test_death_rate_field_hand_case():
     np.testing.assert_allclose(death[:, 0], c * 3 / K, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_steps_evaluate_self_interaction_with_one_factor_pass(monkeypatch,
+                                                              dim):
+    # criterion 04's one-species model with a Gaussian C: every gridded sum
+    # of a step is a self-interaction, so it builds the factors of its N
+    # particles once, not once for the spread and again for the gather
+    from crossdiff import kernels
+    cfg = {"model": {"M": 1, "dim": dim, "family": "isotropic-saturating",
+                     "params": {"psi_max": 0.25}, "r": [0.5],
+                     "kernels": {"G": {"family": "gaussian", "bandwidth": 0.5},
+                                 "C": {"family": "gaussian",
+                                       "bandwidth": 0.5}}}}
+    m = build_model(cfg)
+    n = 3000
+    st = one_species_state(np.random.default_rng(dim).normal(size=(n, dim)),
+                           K=n)
+    points, sums, build = [], [], kernels._gridding_factors
+    gridded = kernels._gridded_sum
+
+    def counted_factors(pts, axes, eps):
+        points.append(pts.shape[0])
+        return build(pts, axes, eps)
+
+    def counted_sum(k, atoms, xq, *args):
+        sums.append(xq is atoms)
+        return gridded(k, atoms, xq, *args)
+    monkeypatch.setattr(kernels, "_gridding_factors", counted_factors)
+    monkeypatch.setattr(kernels, "_gridded_sum", counted_sum)
+    step_demography(step_diffuse(st, m, 0.05, np.random.default_rng(0)),
+                    m, 0.05, np.random.default_rng(1))
+    assert len(sums) >= 2 and all(sums)
+    assert sum(points) == n * len(sums)
+
+
 def test_competition_only_mass_nonincreasing():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.3, r=0.0,
                       C=const_kernels(1, 1, amp=2.0))

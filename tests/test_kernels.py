@@ -99,6 +99,69 @@ def test_gridded_sum_matches_direct_oracle(dim, eps, chunk):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
+def _count_factor_points(monkeypatch):
+    """Wrap the gridding factor builder; the list collects its point counts."""
+    counts, build = [], kernels._gridding_factors
+
+    def counted(pts, axes, eps):
+        counts.append(pts.shape[0])
+        return build(pts, axes, eps)
+    monkeypatch.setattr(kernels, "_gridding_factors", counted)
+    return counts
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("chunk", [2 ** 22, 2 ** 12])
+def test_self_interaction_reuse_bit_identical_to_two_passes(dim, chunk):
+    # queries that are the atoms array reuse the spread's factors; an equal
+    # copy takes the two-pass route.  2 ** 12 splits the atoms into blocks,
+    # where the factors are rebuilt for the gather
+    rng = np.random.default_rng(20 + dim)
+    atoms = rng.normal(size=(400, dim))
+    k = KernelSpec("gaussian", dim, bandwidth=0.5, amplitude=1.3)
+    grid = kernels._gridding_grid(k, atoms, atoms)
+    width = int(grid[1].sum()) + 1
+    assert (atoms.shape[0] * width <= chunk) == (chunk == 2 ** 22)
+    got = kernels._gridded_sum(k, atoms, atoms, 333, chunk, *grid)
+    ref = kernels._gridded_sum(k, atoms, atoms.copy(), 333, chunk, *grid)
+    assert np.array_equal(got, ref)
+    np.testing.assert_allclose(
+        got, kernels._direct_sum(k, atoms, atoms, 333, 2 ** 22),
+        rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 3000), (2, 3000)])
+def test_self_interaction_builds_factors_once(monkeypatch, dim, n):
+    # the public call at its own atoms hands N points to the factor
+    # builder, an equal copy 2N, and so does a chunk too small for reuse
+    rng = np.random.default_rng(30 + dim)
+    nu = EmpiricalMeasure(rng.normal(size=(n, dim)), K=n)
+    k = KernelSpec("gaussian", dim, bandwidth=0.5)
+    counts = _count_factor_points(monkeypatch)
+    own = convolve_empirical(k, nu, nu.atoms)
+    assert sum(counts) == n
+    counts.clear()
+    assert np.array_equal(convolve_empirical(k, nu, nu.atoms.copy()), own)
+    assert sum(counts) == 2 * n
+    counts.clear()
+    grid = kernels._gridding_grid(k, nu.atoms, nu.atoms)
+    kernels._gridded_sum(k, nu.atoms, nu.atoms, n, 2 ** 12, *grid)
+    assert sum(counts) == 2 * n and len(counts) > 2
+
+
+def test_gridding_factors_equal_the_expression():
+    # the in-place factor builder does the operations of the one-line form
+    rng = np.random.default_rng(40)
+    pts = rng.normal(size=(50, 2))
+    axes = [np.linspace(-3.0, 3.0, 17), np.linspace(-2.0, 2.5, 11)]
+    got = kernels._gridding_factors(pts, axes, 0.37)
+    for a, y in enumerate(axes):
+        assert np.array_equal(
+            got[a], np.exp(-np.square((pts[:, a, None] - y) / 0.37)))
+    one = kernels._gridding_factors(pts[:, :1], axes[:1], 0.37)
+    assert np.array_equal(one[1], np.ones((50, 1)))
+
+
 @pytest.mark.parametrize("dim,n,half", [(1, 2000, 3.0), (2, 5000, 0.25)])
 def test_convolve_empirical_takes_gridded_route(dim, n, half):
     # grid nodes x (N + Q) below N x Q: the public call is the gridded sum

@@ -383,6 +383,38 @@ def test_rate_fit_exact_slopes():
     assert lin.band[0] <= 1.0 <= lin.band[1]
 
 
+def _polyfit_band(pairs, n_boot=500, seed=0):
+    """Bootstrap band of the slope by one np.polyfit per resample."""
+    lx, ly = np.log(np.array(pairs)).T
+    rng = np.random.default_rng(seed)
+    boots = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, len(pairs), size=len(pairs))
+        if np.ptp(lx[idx]) < 1e-12:
+            continue
+        boots.append(np.polyfit(lx[idx], ly[idx], 1)[0])
+    return tuple(np.percentile(boots, [2.5, 97.5]))
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_rate_fit_band_matches_polyfit_loop(case):
+    # random scales and distances, 3 to 8 pairs; odd cases repeat a scale,
+    # so more resamples hit the degenerate-abscissa skip.  Close scales give
+    # steep, ill-conditioned resamples where polyfit itself errs by up to
+    # ~1e-12 relative (the closed form stays within 1e-15 of exact rational
+    # arithmetic), hence the relative part of the tolerance
+    rng = np.random.default_rng(100 + case)
+    n = int(rng.integers(3, 9))
+    scales = np.exp(rng.uniform(0.0, 12.0, size=n))
+    if case % 2:
+        scales[1] = scales[0]
+    dists = np.exp(rng.uniform(-8.0, 0.0, size=n))
+    pairs = list(zip(scales, dists))
+    got = rate_fit(pairs, seed=case)
+    np.testing.assert_allclose(got.band, _polyfit_band(pairs, seed=case),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_rate_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         rate_fit([(0.1, 1.0), (0.2, 2.0)])
