@@ -87,8 +87,8 @@ class ConvolutionTable:
     The lattice spans the box padded by the kernel's support radius.  Each
     PDE cell splits into r sub-cells per axis, with r chosen so that the
     lattice step is at most TABLE_STEP * bandwidth; every sub-cell offset
-    is one FFT grid convolution of the zero-padded field, with its kernel
-    spectrum cached across snapshots.  In 1-d one make_interp_spline holds
+    is one FFT grid convolution of the zero-padded field, with its batch
+    plan cached across snapshots.  In 1-d one make_interp_spline holds
     a column per snapshot; in 2-d each snapshot has a RectBivariateSpline.
     """
 

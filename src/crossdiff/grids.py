@@ -27,9 +27,9 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != self.dim + 1:
             raise ValueError("values must have shape (M, *grid shape)")
-        if not np.all(self.hi > self.lo):
+        if not (self.hi > self.lo).all():
             raise ValueError("box must have positive extent")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
     @property

@@ -12,11 +12,12 @@ array), the gather reuses the spread's factors while they fit in one chunk.
 Against a grid field, convolve_field is the midpoint-rule quadrature at
 arbitrary points, and convolve_field_grid gives the same quadrature at
 every cell centre (shifted by an optional sub-cell offset) for one
-kernel-species pair or a batch of them, through one FFT engine: one forward
-FFT of all species, one inverse FFT of the batch, and kernel spectra cached
-per kernel, grid shape, spacing and offset in a bounded, thread-safe LRU
-cache.  Its "direct" method is the
-oracle, and the two agree to 1e-8.
+kernel-species pair or a batch of them, through one FFT engine: one mass
+sum, one forward FFT of all species, one product and one inverse FFT of
+the batch.  The rest (constant/FFT split, gather indices, stacked kernel
+spectra, crop) is a batch plan cached per kernel tuple, species tuple,
+grid shape, spacing and offset in a bounded, thread-safe LRU cache.  Its
+"direct" method is the oracle, and the two agree to 1e-8.
 """
 
 from __future__ import annotations
@@ -347,28 +348,35 @@ def convolve_field(k: KernelSpec, u: GridField, species: int,
     return float(out[0]) if single else out
 
 
-@lru_cache(maxsize=64)
-def _kernel_spectrum(k: KernelSpec, shape: tuple, spacing: tuple,
-                     offset: tuple) -> np.ndarray:
-    """rfftn of the kernel sampled at the cell-centre offsets of a grid.
-
-    Keyed by kernel identity (KernelSpec compares by identity), grid shape,
-    spacing and sub-cell offset, so a PDE step reuses the spectra of the
-    previous step.  The returned array is read-only and shared.
-    """
-    offs = [np.arange(-(n - 1), n) * h + o
-            for n, h, o in zip(shape, spacing, offset)]
-    mesh = np.meshgrid(*offs, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    kk = k.evaluate_batch(pts).reshape([2 * n - 1 for n in shape])
-    spec = fft.rfftn(kk, _fft_shape(shape))
-    spec.flags.writeable = False
-    return spec
-
-
-def _fft_shape(shape: tuple) -> list:
+@lru_cache(maxsize=16)
+def _batch_plan(ks: tuple, js: tuple, shape: tuple, spacing: tuple,
+                offset: tuple) -> tuple:
+    """Batch plan of a grid convolution: (constant rows, amplitudes,
+    species; FFT rows, species, stacked rfftn spectra of the kernels
+    sampled at the cell-centre offsets; FFT lengths; crop to the centres).
+    Keyed by the kernel tuple (KernelSpec compares by identity), species
+    tuple, grid shape, spacing and sub-cell offset, so a PDE step reuses
+    the plan of the previous step; its arrays are read-only and shared."""
+    if len(ks) != len(js) or any(k.dim != len(shape) for k in ks):
+        raise ValueError("need one kernel of the field's dimension per species")
+    is_const = np.array([k.family == "constant" for k in ks], dtype=bool)
+    const, rest = np.flatnonzero(is_const), np.flatnonzero(~is_const)
+    js = np.array(js)
     # full linear convolution has length 3n - 2 per axis
-    return [fft.next_fast_len(3 * n - 2, real=True) for n in shape]
+    fshape = tuple(fft.next_fast_len(3 * n - 2, real=True) for n in shape)
+    mesh = np.meshgrid(*[np.arange(-(n - 1), n) * h + o
+                         for n, h, o in zip(shape, spacing, offset)],
+                       indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    plan = (const, np.array([ks[p].amplitude for p in const]), js[const],
+            rest, js[rest], np.array([fft.rfftn(ks[p].evaluate_batch(
+                pts).reshape([2 * n - 1 for n in shape]), fshape)
+                for p in rest]))
+    for a in plan:
+        a.flags.writeable = False
+    # the central n entries (offset n - 1) are the cell-centre values
+    return plan + (fshape, (...,) + tuple(slice(n - 1, 2 * n - 1)
+                                          for n in shape))
 
 
 def convolve_field_grid(k, u: GridField, species, method: str = "fft",
@@ -379,35 +387,27 @@ def convolve_field_grid(k, u: GridField, species, method: str = "fft",
     zero by default).  Equal-length sequences k and species give the stack
     (P, *shape) of k[p] * u^species[p]: one forward FFT of every species and
     one inverse FFT of the stack.  method "fft" is the zero-padded
-    discrete-Fourier fast path with cached kernel spectra; "direct" is the
-    O(n^2) oracle retained for tests.
+    discrete-Fourier fast path through a cached batch plan; "direct" is
+    the O(n^2) oracle retained for tests.
     """
     single = isinstance(k, KernelSpec)
     ks, js = ((k,), (species,)) if single else (tuple(k), tuple(species))
-    if len(ks) != len(js) or any(kk.dim != u.dim for kk in ks):
-        raise ValueError("need one kernel of the field's dimension per species")
     if method not in ("fft", "direct"):
         raise ValueError("method must be 'fft' or 'direct'")
-    offset = np.zeros(u.dim) if offset is None else \
-        np.asarray(offset, dtype=float).reshape(u.dim)
+    offset = (0.0,) * u.dim if offset is None else \
+        tuple(np.asarray(offset, dtype=float).reshape(u.dim).tolist())
+    const, amps, const_js, rest, rest_js, spectra, fshape, crop = \
+        _batch_plan(ks, js, u.shape, tuple(u.spacing.tolist()), offset)
     out = np.empty((len(ks),) + u.shape)
-    const = [p for p, kk in enumerate(ks) if kk.family == "constant"]
-    rest = [p for p, kk in enumerate(ks) if kk.family != "constant"]
-    masses = u.mass() if const else None
-    for p in const:
-        out[p] = ks[p].amplitude * masses[js[p]]
+    if const.size:
+        out[const] = (amps * u.mass()[const_js]).reshape((-1,) + (1,) * u.dim)
     if method == "direct":
         for p in rest:
             out[p] = convolve_field(ks[p], u, js[p], u.centers() + offset
                                     ).reshape(u.shape)
-    elif rest:
-        fshape, axes = _fft_shape(u.shape), range(1, u.dim + 1)
-        key = (u.shape, tuple(u.spacing.tolist()), tuple(offset.tolist()))
-        kspec = np.stack([_kernel_spectrum(ks[p], *key) for p in rest])
+    elif rest.size:
+        axes = range(1, u.dim + 1)
         uspec = fft.rfftn(u.values, fshape, axes=axes)
-        conv = fft.irfftn(uspec[[js[p] for p in rest]] * kspec, fshape,
-                          axes=axes)
-        # the central n entries (offset n - 1) are the cell-centre values
-        conv = conv[(...,) + tuple(slice(n - 1, 2 * n - 1) for n in u.shape)]
+        conv = fft.irfftn(uspec[rest_js] * spectra, fshape, axes=axes)[crop]
         out[rest] = np.maximum(conv * u.cell_volume, 0.0)
     return out[0] if single else out

@@ -23,10 +23,15 @@ from .kernels import KernelSpec
 SQRT2 = math.sqrt(2.0)
 
 
-def _clamp_v(v: np.ndarray) -> np.ndarray:
+def _eval(fn, name: str, x, v, shape: tuple) -> np.ndarray:
+    """fn(x, v) for finite positions x, reshaped to (n, *shape)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite position passed to {name}")
     # convolutions are nonnegative in exact arithmetic; tiny negative grid
     # artifacts must not escape the assumption domain [0, inf)^M
-    return np.maximum(v, 0.0)
+    out = np.asarray(fn(x, np.maximum(np.atleast_2d(v), 0.0)), float)
+    return out.reshape((x.shape[0],) + shape)
 
 
 @dataclass
@@ -67,18 +72,10 @@ class CoefficientModel:
     # -- coefficient evaluation (pure, reentrant) ----------------------
 
     def eval_sigma(self, i: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite position passed to sigma")
-        s = np.asarray(self.sigma_fns[i](x, _clamp_v(np.atleast_2d(v))), float)
-        return s.reshape(x.shape[0], self.d, self.d)
+        return _eval(self.sigma_fns[i], "sigma", x, v, (self.d, self.d))
 
     def eval_drift(self, i: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite position passed to drift")
-        b = np.asarray(self.drift_fns[i](x, _clamp_v(np.atleast_2d(v))), float)
-        return b.reshape(x.shape[0], self.d)
+        return _eval(self.drift_fns[i], "drift", x, v, (self.d,))
 
     def eval_growth(self, i: int, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -141,14 +138,12 @@ def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
     bounds = _as_list(rbar, M) if rbar is not None else rates
     eye = np.eye(d)
     if family in ("constant-coefficients", "attraction-drift"):   # constant sigma
-        sigma_fns = [
-            (lambda s: lambda x, v: np.broadcast_to(s * eye, (x.shape[0], d, d)))(s)
-            for s in _as_list(params.get("sigma0", 1.0), M)]
+        sigma_fns = [(lambda se: lambda x, v: np.full((x.shape[0], d, d), se))(
+            s * eye) for s in _as_list(params.get("sigma0", 1.0), M)]
 
     if family == "constant-coefficients":
-        b0 = np.broadcast_to(np.asarray(params.get("drift0", 0.0), float),
-                             (d,)).copy()
-        drift_fns = [lambda x, v: np.broadcast_to(b0, (x.shape[0], d))] * M
+        b0 = np.full(d, params.get("drift0", 0.0), dtype=float)
+        drift_fns = [lambda x, v: np.full((x.shape[0], d), b0)] * M
         L = 0.0
     elif family == "isotropic-saturating":
         psi = _as_list(params.get("psi_max", 1.0), M)

@@ -10,11 +10,14 @@ with a_eff = (noise_scale^2 / 2) sigma sigma* and competition either the
 kernel form sum_j C^ij * u^j or the local form sum_j c_ij u^j.  The double
 divergence is discretized directly as differences of the product a u,
 matching the weak form term by term; boundary is zero Dirichlet on a box
-padded so boundary mass stays negligible.
+padded so boundary mass stays negligible.  solve builds one step plan
+before its loop (checks, convolution batch, grid constants and the growth
+rates at the cell centres) and hands it to every step.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,36 +100,61 @@ def _d2_cross(F: np.ndarray, hx: float, hy: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------
 
-def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel"):
-    """Right-hand side arrays (M, *shape), the grid sup of a_eff, and the
-    rates max_k max|b_k| / h_k and max|r - death| of the stability bounds."""
-    M, d = model.M, model.d
-    if u.n_species != M or u.dim != d:
+# What the steps of a solve share: the checked model, mode and grid (values
+# shape, lo, hi), the kernel and species tuples of the batched convolution,
+# the cell centres, spacing h, cell volume, min(h)^2 and the growth rates
+# r_i at the centres, (M, n_cells), since growth functions depend on x only.
+_StepPlan = namedtuple("_StepPlan", "model mode grid ks js pts h vol h2 growth")
+
+
+def _plan(u: GridField, model: CoefficientModel, mode: str,
+          plan: _StepPlan | None = None) -> _StepPlan:
+    """plan after checking that it was built for (u, model, mode), or the
+    step plan of (u, model, mode) when plan is None."""
+    grid = (u.values.shape, u.lo.tolist(), u.hi.tolist())
+    if plan is not None:
+        if plan.model is not model or plan.mode != mode or plan.grid != grid:
+            raise ValueError("plan does not match the field, model or mode")
+        return plan
+    M = model.M
+    if u.n_species != M or u.dim != model.d:
         raise ValueError("field does not match the model dimensions")
     if mode not in ("kernel", "local"):
         raise ValueError("mode must be 'kernel' or 'local'")
     if mode == "local" and model.comp is None:
         raise ValueError("local mode needs competition constants")
-    pts, h, U = u.centers(), u.spacing, u.values
     # one batched convolution for every pair of G, H and (kernel mode) C
     mats = [model.G, model.H] + (
         [model.C] if mode == "kernel" and model.C is not None else [])
-    conv = convolve_field_grid(
-        [row[j] for mat in mats for row in mat for j in range(M)], u,
-        [j for _ in range(len(mats) * M) for j in range(M)])
-    conv = conv.reshape(len(mats), M, M, -1)   # [matrix, i, j, cell]
-    if mode == "local":
+    pts, h = u.centers(), u.spacing
+    return _StepPlan(
+        model, mode, grid,
+        tuple(row[j] for mat in mats for row in mat for j in range(M)),
+        tuple(j for _ in range(len(mats) * M) for j in range(M)), pts, h,
+        u.cell_volume, float(np.min(h) ** 2),
+        np.array([model.eval_growth(i, pts) for i in range(M)]))
+
+
+def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel",
+        plan: _StepPlan | None = None):
+    """Right-hand side arrays (M, *shape), the grid sup of a_eff, and the
+    rates max_k max|b_k| / h_k and max|r - death| of the stability bounds.
+    plan is the solve's step plan, built here when omitted."""
+    plan = _plan(u, model, mode, plan)
+    M, d, pts, h, U = model.M, model.d, plan.pts, plan.h, u.values
+    n = pts.shape[0]
+    conv = convolve_field_grid(plan.ks, u, plan.js).reshape(-1, M, M, n)
+    if mode == "local":     # conv is [matrix, i, j, cell]
         death = sum(model.comp[:, j, None] * U[j].ravel() for j in range(M))
     else:   # 0 without competition kernels
         death = sum(c[:, j] for c in conv[2:] for j in range(M))
-    n = pts.shape[0]
-    a, b, r = np.empty((M, n, d, d)), np.empty((M, n, d)), np.empty((M, n))
-    for i in range(M):
-        vg, vh = np.ascontiguousarray(conv[:2, i].transpose(0, 2, 1))
-        a[i] = model.diffusion_factor * diffusion_matrix(model, i, pts, vg)
-        b[i] = model.eval_drift(i, pts, vh)
-        r[i] = model.eval_growth(i, pts)
-    a, b, react = (x.reshape(U.shape + x.shape[2:]) for x in (a, b, r - death))
+    # [i, G or H, cell, j], one copy for all species
+    v = np.ascontiguousarray(conv[:2].transpose(1, 0, 3, 2))
+    a = np.array([model.diffusion_factor * diffusion_matrix(
+        model, i, pts, v[i, 0]) for i in range(M)])
+    b = np.array([model.eval_drift(i, pts, v[i, 1]) for i in range(M)])
+    a, b, react = (x.reshape(U.shape + x.shape[2:])
+                   for x in (a, b, plan.growth - death))
 
     acc = np.zeros(U.shape)
     for k in range(d):
@@ -136,15 +164,15 @@ def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel"):
     for k in range(d):
         acc -= _d1(b[..., k] * U, h[k], k + 1)
     acc += react * U
-    return (acc, float(np.max(np.abs(a))), float(np.max(np.abs(b) / h)),
-            float(np.max(np.abs(react))))
+    return (acc, float(np.abs(a).max()), float((np.abs(b) / h).max()),
+            float(np.abs(react).max()))
 
 
-def _check_cfl(dt: float, u: GridField, a_sup: float, b_rate: float,
+def _check_cfl(dt: float, plan: _StepPlan, a_sup: float, b_rate: float,
                react_sup: float, safety: float):
     """dt times each rate of the Euler step stays below safety: diffusive
     2 d sup a / h^2, advective max_k max|b_k| / h_k, reaction max|r - death|."""
-    rates = {"diffusive": 2.0 * u.dim * a_sup / float(np.min(u.spacing) ** 2),
+    rates = {"diffusive": 2.0 * plan.model.d * a_sup / plan.h2,
              "advective": b_rate, "reaction": react_sup}
     for name, rate in rates.items():
         if dt * rate > safety * (1.0 + 1e-12):
@@ -153,14 +181,16 @@ def _check_cfl(dt: float, u: GridField, a_sup: float, b_rate: float,
 
 
 def step(u: GridField, model: CoefficientModel, dt: float,
-         mode: str = "kernel", cfl_safety: float = 0.9):
-    """One explicit Euler step; returns (new field, clamped mass)."""
-    dudt, *rates = rhs(u, model, mode)
-    _check_cfl(dt, u, *rates, cfl_safety)
+         mode: str = "kernel", cfl_safety: float = 0.9,
+         plan: _StepPlan | None = None):
+    """One explicit Euler step; returns (new field, clamped mass).
+    plan is the solve's step plan, built here when omitted."""
+    plan = _plan(u, model, mode, plan)
+    dudt, *rates = rhs(u, model, mode, plan)
+    _check_cfl(dt, plan, *rates, cfl_safety)
     new = u.values + dt * dudt
-    clamped = float(-np.minimum(new, 0.0).sum() * u.cell_volume)
-    out = GridField(u.lo, u.hi, np.maximum(new, 0.0), u.time + dt)
-    return out, clamped
+    clamped = float(-np.minimum(new, 0.0).sum() * plan.vol)
+    return GridField(u.lo, u.hi, np.maximum(new, 0.0), u.time + dt), clamped
 
 
 def snapshot_steps(times, dt: float) -> dict:
@@ -184,14 +214,14 @@ def solve(model: CoefficientModel, u0: GridField,
     snap_steps = snapshot_steps(params.snapshot_times, params.dt)
     u = u0.copy()
     u.time = 0.0
-    snapshots = []
-    clamp_total = 0.0
+    snapshots, clamp_total = [], 0.0
     max_bdry = u.boundary_mass_fraction()
     if 0 in snap_steps:
         snapshots.append(u.copy())
+    plan = _plan(u, model, params.mode)
     for k in range(1, n_steps + 1):
         u, clamped = step(u, model, params.dt, params.mode,
-                          params.cfl_safety)
+                          params.cfl_safety, plan)
         u.time = k * params.dt
         clamp_total += clamped
         if k in snap_steps:

@@ -235,13 +235,17 @@ def frozen_flow(cfg: dict, model, u0):
     """
     fcfg = cfg.get("flow") or {}
     sp = solver_params(cfg)
-    t = float(fcfg.get("t", sp.t_end))
+    t_cfg = float(fcfg.get("t", sp.t_end))
     dt = float(fcfg.get("dt", 1e-3))
-    t = round(t / sp.dt) * sp.dt
-    sp.t_end = t
+    t = round(t_cfg / sp.dt) * sp.dt
     n_snap = max(2, int(math.ceil(t / (10.0 * dt))) + 1)
     extra = np.round(np.linspace(0.0, t, n_snap) / sp.dt) * sp.dt
-    sp.snapshot_times = tuple(sorted(set([float(v) for v in extra] + [t])))
+    try:    # replace() re-runs the range check of SolverParams
+        sp = replace(sp, t_end=t, snapshot_times=tuple(
+            sorted(set([float(v) for v in extra] + [t]))))
+    except ValueError as e:
+        raise ConfigError(f"flow.t must round to a positive multiple of "
+                          f"pde.dt = {sp.dt:g}, got {t_cfg:g}") from e
     sol = pde.solve(model, u0, sp)
     return t, dt, sol, FrozenCoefficients.from_pde(model, sol)
 

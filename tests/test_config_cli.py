@@ -431,7 +431,7 @@ def test_cli_study_dirac_identical_across_workers_and_resume(tmp_path,
     codes, tables = [], []
     for out, extra in (("w1", ["--workers", "1"]), ("w2", ["--workers", "2"]),
                        ("w2", ["--workers", "2", "--resume"])):
-        kernels._kernel_spectrum.cache_clear()    # two threads, cold cache
+        kernels._batch_plan.cache_clear()    # two threads, cold cache
         solves.clear()
         codes.append(cli.main(["study-dirac", "--config", path,
                                "--out", str(tmp_path / out)] + extra))
@@ -653,6 +653,23 @@ def test_cli_flow_rejects_zero_paths_before_solving(tmp_path, capsys,
     code = cli.main(["flow", "--config", path, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_USAGE and solves == []
     assert "flow.n_paths must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [0.001, -0.5])
+@pytest.mark.parametrize("verb,table", [("flow", "flow_diagnostics.csv"),
+                                        ("study-flow", "flow_density.csv")])
+def test_cli_flow_horizon_off_the_step_grid_names_its_keys(tmp_path, capsys,
+                                                           verb, table, t):
+    # with pde.dt = 0.005, flow.t = 0.001 rounds to a zero horizon and
+    # -0.5 to a negative one: neither may run on the initial data
+    cfg = study_cfg("study-flow")
+    cfg["flow"]["t"] = t
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main([verb, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "flow.t" in err and "pde.dt" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / table).exists()
 
 
 @pytest.mark.parametrize("verb", ["flow", "study-flow"])

@@ -308,7 +308,7 @@ def test_spectrum_cache_bit_equal_to_fresh():
     warm = {n: [convolve_field_grid(k, u, 0) for _ in range(2)]
             for n, u in fields.items()}
     for n, u in fields.items():
-        kernels._kernel_spectrum.cache_clear()
+        kernels._batch_plan.cache_clear()
         fresh = convolve_field_grid(k, u, 0)
         assert fresh.shape == (n,)
         for got in warm[n]:
@@ -319,7 +319,7 @@ def test_spectrum_cache_thread_safe():
     rng = np.random.default_rng(7)
     u = GridField([-1.0, -1.0], [1.0, 1.0], rng.random((1, 48, 48)), 0.0)
     k = KernelSpec("gaussian", 2, bandwidth=0.2)
-    kernels._kernel_spectrum.cache_clear()
+    kernels._batch_plan.cache_clear()
     start = threading.Barrier(2)
 
     def run(_):
@@ -329,6 +329,42 @@ def test_spectrum_cache_thread_safe():
         a, b = pool.map(run, range(2))
     assert np.array_equal(a, b)
     assert np.array_equal(a, convolve_field_grid(k, u, 0))
+
+
+def test_batch_plan_cache_keys_never_share_entries():
+    # another kernel order, species list, grid or offset is a new plan;
+    # every warm result equals a cold-cache computation bit for bit
+    rng = np.random.default_rng(10)
+    g = KernelSpec("gaussian", 1, bandwidth=0.3)
+    b = KernelSpec("compact-bump", 1, bandwidth=0.4)
+    c = KernelSpec("constant", 1, amplitude=0.7)
+    u = GridField([-2.0], [2.0], rng.random((2, 64)), 0.0)
+    calls = [((g, b, c), (0, 1, 0), u, None),
+             ((c, b, g), (0, 1, 0), u, None),        # kernels reordered
+             ((g, b, c), (1, 0, 1), u, None),        # other species
+             ((g, b, c), (0, 1, 0),                  # other shape
+              GridField([-2.0], [2.0], rng.random((2, 48)), 0.0), None),
+             ((g, b, c), (0, 1, 0),                  # other spacing
+              GridField([-3.0], [3.0], u.values, 0.0), None),
+             ((g, b, c), (0, 1, 0), u, [0.01])]      # other offset
+    kernels._batch_plan.cache_clear()
+    warm = []
+    for n, (ks, js, v, off) in enumerate(calls):
+        warm.append(convolve_field_grid(ks, v, js, offset=off))
+        info = kernels._batch_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (n + 1, 0, n + 1)
+    # a shifted box with the same shape and spacing shares the plan
+    shifted = GridField([-1.0], [3.0], u.values, 0.0)
+    assert np.array_equal(convolve_field_grid(calls[0][0], shifted, (0, 1, 0)),
+                          warm[0])
+    assert kernels._batch_plan.cache_info().hits == 1
+    for (ks, js, v, off), got in zip(calls, warm):
+        kernels._batch_plan.cache_clear()
+        assert np.array_equal(got, convolve_field_grid(ks, v, js, offset=off))
+        for p, (k, j) in enumerate(zip(ks, js)):
+            assert np.array_equal(got[p],
+                                  convolve_field_grid(k, v, j, offset=off))
+    assert np.array_equal(warm[1], warm[0][::-1])
 
 
 def _mixed_kernels(d):

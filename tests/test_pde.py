@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from crossdiff import pde
+from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import KernelSpec, convolve_field_grid
 from crossdiff.model import CoefficientModel, builtin_model, diffusion_matrix
@@ -298,6 +300,71 @@ def test_rhs_bit_equal_to_pairwise_reference(shape, mode, with_C):
     ref, ref_sup = _reference_rhs(u, model, mode)
     assert np.array_equal(dudt, ref)
     assert a_sup == ref_sup
+
+
+# ----------------------------------------------------------------------
+# the per-solve step plan
+
+def _cross_field(shape):
+    d = len(shape)
+    specs = [InitialCondition(0.6, "gaussian", mean=0.2, std=0.7, dim=d),
+             InitialCondition(0.9, "gaussian", mean=-0.3, std=0.9, dim=d)]
+    return project_to_grid(specs, [-4.0] * d, [4.0] * d, list(shape))
+
+
+@pytest.mark.parametrize("mode,with_C", [("kernel", True), ("kernel", False),
+                                         ("local", True)])
+@pytest.mark.parametrize("shape", [(64,), (20, 24)])
+def test_solve_equals_loop_of_planless_steps(shape, mode, with_C):
+    # 25 steps through the solve's plan against 25 steps that each build
+    # their own plan, bit for bit
+    model, u0 = _cross_model(len(shape), with_C), _cross_field(shape)
+    dt, snaps = 0.002, {0: 0.0, 10: 0.02, 25: 0.05}
+    sol = solve(model, u0, SolverParams(dt=dt, t_end=0.05, mode=mode,
+                                        snapshot_times=tuple(snaps.values())))
+    u, clamp, ref = u0.copy(), 0.0, [u0.values]
+    for k in range(1, 26):
+        u, clamped = step(u, model, dt, mode)
+        clamp += clamped
+        if k in snaps:
+            ref.append(u.values)
+    assert len(sol.snapshots) == len(ref) == 3
+    for snap, want in zip(sol.snapshots, ref):
+        assert np.array_equal(snap.values, want)
+    assert sol.clamp_mass == clamp
+
+
+@pytest.mark.parametrize("mode", ["kernel", "local"])
+def test_growth_evaluated_once_per_solve(mode):
+    model, u0 = _cross_model(1), _cross_field((64,))
+    calls = []
+
+    def counted(fn):
+        return lambda x: calls.append(x.shape) or fn(x)
+    model.growth_fns = [counted(fn) for fn in model.growth_fns]
+    solve(model, u0, SolverParams(dt=0.002, t_end=0.05, mode=mode))
+    assert calls == [(64, 1)] * model.M          # not M per step
+    calls.clear()
+    step(u0, model, 0.002, mode)                 # a plan-less step builds one
+    assert len(calls) == model.M
+
+
+def test_step_plan_rejects_another_field_model_or_mode():
+    model, u = _cross_model(1), _cross_field((64,))
+    plan = pde._plan(u, model, "kernel")
+    step(u, model, 0.002, "kernel", plan=plan)     # the matching field
+    others = [_cross_field((32,)),                          # shape
+              GridField([-3.0], [5.0], u.values, 0.0),          # box
+              GridField(u.lo, u.hi, u.values[:1], 0.0)]         # species
+    for v in others:
+        with pytest.raises(ValueError, match="plan does not match"):
+            step(v, model, 0.002, "kernel", plan=plan)
+        with pytest.raises(ValueError, match="plan does not match"):
+            rhs(v, model, "kernel", plan)
+    with pytest.raises(ValueError, match="plan does not match"):
+        step(u, model, 0.002, "local", plan=plan)
+    with pytest.raises(ValueError, match="plan does not match"):
+        rhs(u, _cross_model(1), "kernel", plan)
 
 
 # ----------------------------------------------------------------------
