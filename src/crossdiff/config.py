@@ -137,23 +137,11 @@ def mollified_C(cfg: dict, eps: float):
     comp = np.asarray(mcfg.get("comp"), dtype=float)
     if comp.shape != (M, M):
         raise ConfigError("dirac study needs an M x M 'comp' matrix")
-    kspec = (mcfg.get("kernels") or {}).get("gamma") or {}
-    gamma = KernelSpec(kspec.get("family", "gaussian"), d, bandwidth=1.0,
-                       amplitude=1.0)
-    g_eps = mollifier(gamma, eps)
-    zero = KernelSpec("constant", d, amplitude=0.0)
-    out = []
-    for i in range(M):
-        row = []
-        for j in range(M):
-            c = float(comp[i, j])
-            if c == 0.0:
-                row.append(zero)
-            else:
-                row.append(KernelSpec(g_eps.family, d, bandwidth=g_eps.bandwidth,
-                                      amplitude=c * g_eps.amplitude))
-        out.append(row)
-    return out
+    fam = ((mcfg.get("kernels") or {}).get("gamma") or {}).get(
+        "family", "gaussian")
+    g_eps = mollifier(KernelSpec(fam, d), eps)     # checks gamma's family
+    return _kernel_matrix({"family": fam, "bandwidth": g_eps.bandwidth,
+                           "amplitudes": comp}, M, d)
 
 
 # ---------------------------------------------------------------------

@@ -26,7 +26,8 @@ in for it.
 
 Coefficient derivatives are central finite differences: coefficients are
 compositions with convolved fields, not closed forms.  Within one
-inverse-flow step, sigma_eff and the drift are evaluated once per distinct
+inverse-flow step, sigma_eff, the drift, the gradient of sigma_eff and the
+Stratonovich correction built from it are evaluated once per distinct
 stencil point and shared read-only by every difference that needs them.
 The convolutions k * u^j of the smooth kernels are tabulated once per
 snapshot on a lattice over the padded box (FFT grid convolutions with
@@ -257,17 +258,6 @@ class FrozenCoefficients:
 # path containers
 
 @dataclass
-class FlowPaths:
-    times: np.ndarray        # (m+1,)
-    paths: np.ndarray        # (m+1, n, d)
-    increments: np.ndarray   # (m, n, d) Brownian increments used
-
-    @property
-    def terminal(self):
-        return self.paths[-1]
-
-
-@dataclass
 class InverseFlowResult:
     times: np.ndarray            # Z-time grid s in [0, t]
     paths: np.ndarray            # Z_s(y) = eta_{t-s,t}(y), (m+1, n, d)
@@ -301,36 +291,37 @@ def _guard(arr, what):
         raise FlowError(f"blow-up in {what}")
 
 
+def _euler(coeffs, i, t, x, h, dW, what):
+    """One Euler-Maruyama step of the forward flow from x at time t."""
+    x = x + coeffs.drift(i, t, x) * h \
+        + np.einsum("nkl,nl->nk", coeffs.sigma_eff(i, t, x), dW)
+    _guard(x, what)
+    return x
+
+
 # ---------------------------------------------------------------------
 
 def forward_flow(coeffs: FrozenCoefficients, i: int, s: float, t: float,
                  x0: np.ndarray, dt: float, rng: np.random.Generator = None,
-                 increments: np.ndarray = None) -> FlowPaths:
-    """Euler-Maruyama paths of X_{s,t}(x) for a batch of starting points."""
+                 increments: np.ndarray = None) -> np.ndarray:
+    """Euler-Maruyama X_{s,t}(x) for a batch of starting points: the
+    terminal positions, (n, d)."""
     if t < s:
         raise ValueError("need s <= t")
     coeffs.check_spacing(dt)
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    n, d = x0.shape
+    x = np.array(x0, dtype=float, ndmin=2)
+    n, d = x.shape
     m = max(1, int(round((t - s) / dt))) if t > s else 0
-    times = s + (t - s) * np.arange(m + 1) / max(m, 1)
     h = (t - s) / m if m else 0.0
     if increments is None:
         if m and rng is None:
             raise ValueError("need an rng or precomputed increments")
         increments = (rng.standard_normal((m, n, d)) * math.sqrt(h)
                       if m else np.zeros((0, n, d)))
-    paths = np.empty((m + 1, n, d))
-    paths[0] = x0
-    x = x0.copy()
     for k in range(m):
-        tk = times[k]
-        b = coeffs.drift(i, tk, x)
-        se = coeffs.sigma_eff(i, tk, x)
-        x = x + b * h + np.einsum("nkl,nl->nk", se, increments[k])
-        _guard(x, "forward flow")
-        paths[k + 1] = x
-    return FlowPaths(times, paths, increments)
+        x = _euler(coeffs, i, s + (t - s) * k / m, x, h, increments[k],
+                   "forward flow")
+    return x
 
 
 def _per_step(fn):
@@ -356,17 +347,17 @@ def _per_step(fn):
     return call
 
 
-def _inverse_coeff_fns(coeffs, i, t):
-    """A(s, y) and beta(s, y) of the reverted Ito equation."""
+def _inverse_coeff_fns(coeffs, i, t, h_fd):
+    """A(s, y) of the reverted Ito equation, its gradient dA (n, p, k, q),
+    the correction corr_k = sum_{l,q} A_lq d_l A_kq and beta(s, y), each
+    evaluated once per distinct y within a step."""
     A = _per_step(lambda s, Y: coeffs.sigma_eff(i, t - s, Y))
-    b = _per_step(lambda s, Y: coeffs.drift(i, t - s, Y))
-
-    def beta(s, Y, h_fd):
-        dse = _fd_grad(lambda Z: A(s, Z), Y, h_fd)
-        # b_hat_k = b_k - sum_{l,q} s_eff_{lq} d_l s_eff_{kq}
-        corr = np.einsum("nlq,nlkq->nk", A(s, Y), dse)
-        return -(b(s, Y) - corr)
-    return A, beta
+    dA = _per_step(lambda s, Y: _fd_grad(lambda Z: A(s, Z), Y, h_fd))
+    corr = _per_step(lambda s, Y: np.einsum("nlq,nlkq->nk", A(s, Y),
+                                            dA(s, Y)))
+    # b_hat = b - corr
+    beta = _per_step(lambda s, Y: -(coeffs.drift(i, t - s, Y) - corr(s, Y)))
+    return A, dA, corr, beta
 
 
 def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
@@ -390,7 +381,7 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
             raise ValueError("need an rng or precomputed increments")
         increments = rng.standard_normal((m, n, d)) * math.sqrt(h)
 
-    A_fn, beta_fn = _inverse_coeff_fns(coeffs, i, t)
+    A_fn, dA_fn, corr_fn, beta_fn = _inverse_coeff_fns(coeffs, i, t, h_fd)
     paths = np.empty((m + 1, n, d))
     jac = np.empty((m + 1, n, d, d))
     det_m = np.empty((m + 1, n))
@@ -404,20 +395,18 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
         s_k = times[k]
         dW = increments[k]
         A = A_fn(s_k, z)
-        beta = beta_fn(s_k, z, h_fd)
-        dA = _fd_grad(lambda Y: A_fn(s_k, Y), z, h_fd)      # (n, p, k, q)
-        dbeta = _fd_grad(lambda Y: beta_fn(s_k, Y, h_fd), z, h_fd)  # (n, p, k)
+        beta = beta_fn(s_k, z)
+        dA = dA_fn(s_k, z)                                  # (n, p, k, q)
+        dbeta = _fd_grad(lambda Y: beta_fn(s_k, Y), z, h_fd)    # (n, p, k)
 
         # divergence of each noise column and of the Stratonovich drift
         div_A = np.einsum("nkkq->nq", dA)                   # f^q
-        ddivA = _fd_grad(
-            lambda Y: np.einsum("nkkq->nq",
-                                _fd_grad(lambda Z: A_fn(s_k, Z), Y, h_fd)),
-            z, h_fd)                                        # (n, p, q)
-        # beta_circ = beta - 1/2 sum_{l,q} A_{lq} d_l A_{.q}
-        strat = 0.5 * np.einsum("nlq,nlkq->nk", A, dA)
+        ddivA = _fd_grad(lambda Y: np.einsum("nkkq->nq", dA_fn(s_k, Y)),
+                         z, h_fd)                           # (n, p, q)
+        # beta_circ = beta - 1/2 corr
+        dcorr = _fd_grad(lambda Y: corr_fn(s_k, Y), z, h_fd)
         div_beta_circ = np.einsum("nkk->n", dbeta) \
-            - 0.5 * _div_strat(A_fn, s_k, z, h_fd)
+            - 0.5 * np.einsum("nkk->n", dcorr)
 
         # state
         z_new = z + np.einsum("nkq,nq->nk", A, dW) + beta * h
@@ -443,16 +432,6 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
     return InverseFlowResult(times, paths, jac, det_m, det_s, increments)
 
 
-def _div_strat(A_fn, s, z, h_fd):
-    """Divergence of the Stratonovich correction sum_lq A_lq d_l A_(.q)."""
-    def corr(Y):
-        A = A_fn(s, Y)
-        dA = _fd_grad(lambda Z: A_fn(s, Z), Y, h_fd)
-        return np.einsum("nlq,nlkq->nk", A, dA)
-    dcorr = _fd_grad(corr, z, h_fd)
-    return np.einsum("nkk->n", dcorr)
-
-
 def compose_inverse_forward(coeffs: FrozenCoefficients, i: int, t: float,
                             y: np.ndarray, dt: float,
                             rng: np.random.Generator) -> np.ndarray:
@@ -464,7 +443,7 @@ def compose_inverse_forward(coeffs: FrozenCoefficients, i: int, t: float,
     fwd = forward_flow(coeffs, i, 0.0, t, inv.eta0, dt,
                        increments=fwd_inc)
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return np.sqrt(np.sum((fwd.terminal - y) ** 2, axis=1))
+    return np.sqrt(np.sum((fwd - y) ** 2, axis=1))
 
 
 # ---------------------------------------------------------------------
@@ -494,16 +473,12 @@ def feynman_kac_functional(coeffs: FrozenCoefficients, model: CoefficientModel,
     m = max(1, int(round(t / dt)))
     h = t / m
     x = np.repeat(pts, n_paths, axis=0)
-    weights = np.tile(w, (1,)).repeat(n_paths) / n_paths
+    weights = w.repeat(n_paths) / n_paths
     logw = np.zeros(x.shape[0])
     rate_prev = coeffs.fk_rate(i, 0.0, x)
     for k in range(m):
-        tk = k * h
-        b = coeffs.drift(i, tk, x)
-        se = coeffs.sigma_eff(i, tk, x)
         dW = rng.standard_normal(x.shape) * math.sqrt(h)
-        x = x + b * h + np.einsum("nkl,nl->nk", se, dW)
-        _guard(x, "Feynman-Kac forward flow")
+        x = _euler(coeffs, i, k * h, x, h, dW, "Feynman-Kac forward flow")
         rate_new = coeffs.fk_rate(i, (k + 1) * h, x)
         logw += 0.5 * h * (rate_prev + rate_new)   # trapezoid in time
         rate_prev = rate_new
@@ -534,8 +509,7 @@ def density_estimate(coeffs: FrozenCoefficients, model: CoefficientModel,
     rates = np.empty((m + 1, yy.shape[0]))
     for k in range(m + 1):
         rates[k] = coeffs.fk_rate(i, t - inv.times[k], inv.paths[k])
-    integral = h * (0.5 * rates[0] + rates[1:-1].sum(axis=0) + 0.5 * rates[-1]) \
-        if m >= 1 else np.zeros(yy.shape[0])
+    integral = h * (0.5 * rates[0] + rates[1:-1].sum(axis=0) + 0.5 * rates[-1])
     xi0 = np.asarray(density0(inv.eta0), dtype=float).reshape(-1)
     psi = np.exp(integral) * xi0 * inv.det_matrix[-1]
     psi = psi.reshape(nq, n_paths)

@@ -1,10 +1,12 @@
 """Counter-based, splittable random streams.
 
-Every random draw in the package comes from a Philox generator keyed by a
-user seed plus a tuple of integer subkeys (replica index, step index, draw
-purpose, ...).  Streams with distinct keys are statistically independent and
-can be recreated in any order, so parallel and sequential execution produce
-the same numbers.
+Every particle-system draw comes from a Philox generator keyed by a user
+seed plus a tuple of integer subkeys (replica index, step index, draw
+purpose, ...).  Streams with distinct keys are statistically independent
+and can be recreated in any order, so parallel and sequential execution
+produce the same numbers.  The flow estimates (study_flow, the `flow` verb)
+draw from default_rng(SeedSequence(seed, spawn_key=(41|71|72,))), and
+rate_fit and validate from default_rng of their seed.
 """
 
 from __future__ import annotations

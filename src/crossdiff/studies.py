@@ -237,6 +237,8 @@ def frozen_flow(cfg: dict, model, u0):
     sp = solver_params(cfg)
     t_cfg = float(fcfg.get("t", sp.t_end))
     dt = float(fcfg.get("dt", 1e-3))
+    if not dt > 0.0:
+        raise ConfigError(f"flow.dt must be positive, got {dt:g}")
     t = round(t_cfg / sp.dt) * sp.dt
     n_snap = max(2, int(math.ceil(t / (10.0 * dt))) + 1)
     extra = np.round(np.linspace(0.0, t, n_snap) / sp.dt) * sp.dt

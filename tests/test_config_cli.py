@@ -164,6 +164,12 @@ def test_mollified_competition_matrix(tmp_path):
     assert (C[0][0].family, C[0][0].bandwidth) == ("gaussian", 0.2)
     cfg["model"]["kernels"]["gamma"] = {"family": "compact-bump"}
     assert mollified_C(cfg, eps=0.2)[0][0].family == "compact-bump"
+    # a zero constant competes through nothing
+    cfg["model"].update({"M": 2, "comp": [[0.5, 0.0], [0.25, 1.0]]})
+    C = mollified_C(cfg, eps=0.2)
+    assert [[(k.family, k.amplitude) for k in row] for row in C] == [
+        [("compact-bump", 0.5), ("constant", 0.0)],
+        [("compact-bump", 0.25), ("compact-bump", 1.0)]]
     del cfg["model"]["comp"]
     with pytest.raises(ConfigError, match="M x M 'comp' matrix"):
         mollified_C(cfg, eps=0.2)
@@ -196,7 +202,8 @@ def test_field_dump_rejects_foreign_file(tmp_path):
 def test_rows_csv_and_atomicity(tmp_path):
     path = str(tmp_path / "rows.csv")
     io.write_rows_csv(path, ["a", "b"], [(1.5, 2), (0.25, 3)])
-    lines = open(path).read().splitlines()
+    with open(path) as f:
+        lines = f.read().splitlines()
     assert lines == ["a,b", "1.5,2", "0.25,3"]
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
@@ -215,7 +222,8 @@ def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
 
 def test_config_hash_is_sha256(tmp_path):
     path = write_cfg(tmp_path, base_cfg())
-    expect = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as f:
+        expect = hashlib.sha256(f.read()).hexdigest()
     assert io.config_hash(path) == expect
 
 
@@ -669,6 +677,20 @@ def test_cli_flow_horizon_off_the_step_grid_names_its_keys(tmp_path, capsys,
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "flow.t" in err and "pde.dt" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / table).exists()
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+@pytest.mark.parametrize("verb,table", [("flow", "flow_diagnostics.csv"),
+                                        ("study-flow", "flow_density.csv")])
+def test_cli_flow_step_must_be_positive(tmp_path, capsys, verb, table, dt):
+    cfg = study_cfg("study-flow")
+    cfg["flow"]["dt"] = dt
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main([verb, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "flow.dt" in err and "Traceback" not in err
     assert not (tmp_path / "o" / table).exists()
 
 
