@@ -123,7 +123,7 @@ def _flow(cfg, seed, out, args):
     n_paths = int(fcfg.get("n_paths", 100))
     if n_paths < 1:
         raise ConfigError(f"flow.n_paths must be at least 1, got {n_paths}")
-    i = int(fcfg.get("species", 0))
+    i = studies.flow_species(fcfg, model.M)
     y = studies.flow_probes(cfg, u0, [0.35, 0.5, 0.65])
     t, dt, _, coeffs = studies.frozen_flow(cfg, model, u0)
 

@@ -82,6 +82,13 @@ class CoefficientModel:
         return np.asarray(self.growth_fns[i](x), dtype=float).reshape(x.shape[0])
 
 
+def density_free(fn):
+    """Mark a sigma or drift fn(x, v) as ignoring v, the convolved densities,
+    so that the PDE evaluates it once per solve (see pde._once)."""
+    fn.density_free = True
+    return fn
+
+
 def diffusion_matrix(model: CoefficientModel, i: int, x, v) -> np.ndarray:
     """a^i = sigma^i (sigma^i)^T at a batch of (x, v) arguments.
 
@@ -166,6 +173,9 @@ def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
     else:
         raise ValueError(f"unknown builtin family {family!r}")
 
+    # every builtin drift ignores v, and so does every sigma but the saturating
+    for fn in drift_fns + sigma_fns * (family != "isotropic-saturating"):
+        density_free(fn)
     L = float(params.get("lipschitz_bound", max(L, 1e-9)))
     return CoefficientModel(M, d, sigma_fns, drift_fns, growth_fns, bounds,
                             G, H, C=C, comp=comp, lipschitz_bound=L,

@@ -11,8 +11,8 @@ kernel form sum_j C^ij * u^j or the local form sum_j c_ij u^j.  The double
 divergence is discretized directly as differences of the product a u,
 matching the weak form term by term; boundary is zero Dirichlet on a box
 padded so boundary mass stays negligible.  solve builds one step plan
-before its loop (checks, convolution batch, grid constants and the growth
-rates at the cell centres) and hands it to every step.
+before its loop (checks, convolution batch, grid constants, growth rates
+and density-free coefficients at the cell centres) for every step.
 """
 
 from __future__ import annotations
@@ -102,9 +102,38 @@ def _d2_cross(F: np.ndarray, hx: float, hy: float) -> np.ndarray:
 
 # What the steps of a solve share: the checked model, mode and grid (values
 # shape, lo, hi), the kernel and species tuples of the batched convolution,
-# the cell centres, spacing h, cell volume, min(h)^2 and the growth rates
-# r_i at the centres, (M, n_cells), since growth functions depend on x only.
-_StepPlan = namedtuple("_StepPlan", "model mode grid ks js pts h vol h2 growth")
+# the cell centres, spacing h, cell volume, min(h)^2, the growth rates r_i at
+# the centres, (M, n_cells), since growth functions depend on x only, and
+# _sigma and _drift there when density-free (see _once), else None.
+_StepPlan = namedtuple("_StepPlan",
+                       "model mode grid ks js pts h vol h2 growth a b")
+
+
+def _sigma(model: CoefficientModel, pts, v):
+    """a_eff (M, n_cells, d, d) at the cell centres pts and its sup, where
+    v[i, cell, j] is G^ij * u^j there."""
+    a = np.array([model.diffusion_factor * diffusion_matrix(
+        model, i, pts, v[i]) for i in range(model.M)])
+    return a, float(np.abs(a).max())
+
+
+def _drift(model: CoefficientModel, pts, h, v):
+    """b (M, n_cells, d) and max_k max|b_k| / h_k; as _sigma, H for G."""
+    b = np.array([model.eval_drift(i, pts, v[i]) for i in range(model.M)])
+    return b, float((np.abs(b) / h).max())
+
+
+def _once(coefficient, fns, name: str, zero):
+    """coefficient(zero) when every fn in fns is marked density_free, else
+    None.  It must equal coefficient at v = j + 1 in column j, a spot check
+    of the marks, or ValueError names the set."""
+    if not all(getattr(fn, "density_free", False) for fn in fns):
+        return None
+    at0 = coefficient(zero)
+    if not np.array_equal(at0[0], coefficient(
+            zero + np.arange(1.0, zero.shape[-1] + 1))[0]):
+        raise ValueError(f"a {name} marked density_free reads v")
+    return at0
 
 
 def _plan(u: GridField, model: CoefficientModel, mode: str,
@@ -123,16 +152,20 @@ def _plan(u: GridField, model: CoefficientModel, mode: str,
         raise ValueError("mode must be 'kernel' or 'local'")
     if mode == "local" and model.comp is None:
         raise ValueError("local mode needs competition constants")
-    # one batched convolution for every pair of G, H and (kernel mode) C
-    mats = [model.G, model.H] + (
+    pts, h, zero = u.centers(), u.spacing, np.zeros((M, u.values[0].size, M))
+    a = _once(lambda v: _sigma(model, pts, v), model.sigma_fns, "sigma", zero)
+    b = _once(lambda v: _drift(model, pts, h, v), model.drift_fns, "drift",
+              zero)
+    # one batched convolution for every pair of G, H and (kernel mode) C,
+    # less the matrices of a planned a or b
+    mats = [model.G] * (a is None) + [model.H] * (b is None) + (
         [model.C] if mode == "kernel" and model.C is not None else [])
-    pts, h = u.centers(), u.spacing
     return _StepPlan(
         model, mode, grid,
         tuple(row[j] for mat in mats for row in mat for j in range(M)),
         tuple(j for _ in range(len(mats) * M) for j in range(M)), pts, h,
         u.cell_volume, float(np.min(h) ** 2),
-        np.array([model.eval_growth(i, pts) for i in range(M)]))
+        np.array([model.eval_growth(i, pts) for i in range(M)]), a, b)
 
 
 def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel",
@@ -142,19 +175,18 @@ def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel",
     plan is the solve's step plan, built here when omitted."""
     plan = _plan(u, model, mode, plan)
     M, d, pts, h, U = model.M, model.d, plan.pts, plan.h, u.values
-    n = pts.shape[0]
-    conv = convolve_field_grid(plan.ks, u, plan.js).reshape(-1, M, M, n)
-    if mode == "local":     # conv is [matrix, i, j, cell]
+    # [matrix, i, cell, j] of the plan's batch, read in its order
+    conv = iter(np.ascontiguousarray(convolve_field_grid(
+        plan.ks, u, plan.js).reshape(-1, M, M, pts.shape[0]).transpose(
+        0, 1, 3, 2)) if plan.ks else ())
+    a, a_sup = plan.a or _sigma(model, pts, next(conv))
+    b, b_rate = plan.b or _drift(model, pts, h, next(conv))
+    a, b = a.reshape(U.shape + (d, d)), b.reshape(U.shape + (d,))
+    if mode == "local":
         death = sum(model.comp[:, j, None] * U[j].ravel() for j in range(M))
     else:   # 0 without competition kernels
-        death = sum(c[:, j] for c in conv[2:] for j in range(M))
-    # [i, G or H, cell, j], one copy for all species
-    v = np.ascontiguousarray(conv[:2].transpose(1, 0, 3, 2))
-    a = np.array([model.diffusion_factor * diffusion_matrix(
-        model, i, pts, v[i, 0]) for i in range(M)])
-    b = np.array([model.eval_drift(i, pts, v[i, 1]) for i in range(M)])
-    a, b, react = (x.reshape(U.shape + x.shape[2:])
-                   for x in (a, b, plan.growth - death))
+        death = sum(c[..., j] for c in conv for j in range(M))
+    react = (plan.growth - death).reshape(U.shape)
 
     acc = np.zeros(U.shape)
     for k in range(d):
@@ -164,8 +196,7 @@ def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel",
     for k in range(d):
         acc -= _d1(b[..., k] * U, h[k], k + 1)
     acc += react * U
-    return (acc, float(np.abs(a).max()), float((np.abs(b) / h).max()),
-            float(np.abs(react).max()))
+    return acc, a_sup, b_rate, float(np.abs(react).max())
 
 
 def _check_cfl(dt: float, plan: _StepPlan, a_sup: float, b_rate: float,

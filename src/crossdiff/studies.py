@@ -264,6 +264,15 @@ def flow_probes(cfg: dict, u0, quantiles) -> np.ndarray:
     return np.atleast_2d(np.asarray(probes, dtype=float)).reshape(-1, u0.dim)
 
 
+def flow_species(fcfg: dict, M: int) -> int:
+    """flow.species of the flow section fcfg, an integer in [0, M)."""
+    i = fcfg.get("species", 0)
+    if type(i) is not int or not 0 <= i < M:
+        raise ConfigError(f"flow.species must be an integer in [0, {M}), "
+                          f"got {i!r}")
+    return i
+
+
 def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                resume: bool = False) -> StudyReport:
     """Density and functional estimates from the flow against the PDE."""
@@ -275,7 +284,7 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     if n_paths < 2:
         # the verdict compares against sample standard errors
         raise ConfigError(f"flow.n_paths must be at least 2, got {n_paths}")
-    i = int(fcfg.get("species", 0))
+    i = flow_species(fcfg, model.M)
     y = flow_probes(cfg, u0, [0.3, 0.4, 0.5, 0.6, 0.7])
     t, dt, sol, coeffs = frozen_flow(cfg, model, u0)
     u_t = sol.at_time(t)

@@ -694,6 +694,23 @@ def test_cli_flow_step_must_be_positive(tmp_path, capsys, verb, table, dt):
     assert not (tmp_path / "o" / table).exists()
 
 
+@pytest.mark.parametrize("species", [3, -1, 0.5])
+@pytest.mark.parametrize("verb,table", [("flow", "flow_diagnostics.csv"),
+                                        ("study-flow", "flow_density.csv")])
+def test_cli_flow_species_must_lie_in_range(tmp_path, capsys, verb, table,
+                                            species):
+    # one species: 3 is no species, -1 must not mean the last one, and 0.5
+    # must not be truncated to species 0
+    cfg = study_cfg("study-flow")
+    cfg["flow"]["species"] = species
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main([verb, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "flow.species" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / table).exists()
+
+
 @pytest.mark.parametrize("verb", ["flow", "study-flow"])
 def test_cli_flow_in_2d_needs_probes(tmp_path, capsys, verb):
     # the default probes are axis-0 quantiles, which are points only in 1-d

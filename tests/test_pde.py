@@ -10,7 +10,8 @@ from crossdiff import pde
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import KernelSpec, convolve_field_grid
-from crossdiff.model import CoefficientModel, builtin_model, diffusion_matrix
+from crossdiff.model import (CoefficientModel, builtin_model, density_free,
+                             diffusion_matrix)
 from crossdiff.pde import (CFLError, SolverParams, mass_bound_check, rhs,
                            solve, step)
 
@@ -368,6 +369,108 @@ def test_step_plan_rejects_another_field_model_or_mode():
 
 
 # ----------------------------------------------------------------------
+# density-free coefficients, evaluated once per solve
+
+def _x_only_model(d, with_C, marked):
+    """_cross_model with sigma_i and b_i read at v = 0.5 + 0.2 sin(x_0), so
+    functions of x alone, marked density_free or left unmarked."""
+    model = _cross_model(d, with_C)
+    mark = density_free if marked else (lambda fn: fn)
+
+    def x_only(fn):
+        return mark(lambda x, v: fn(x, np.repeat(
+            0.5 + 0.2 * np.sin(x[:, :1]), v.shape[1], axis=1)))
+    model.sigma_fns = [x_only(fn) for fn in model.sigma_fns]
+    model.drift_fns = [x_only(fn) for fn in model.drift_fns]
+    return model
+
+
+@pytest.mark.parametrize("mode,with_C", [("kernel", True), ("kernel", False),
+                                         ("local", True)])
+@pytest.mark.parametrize("shape", [(64,), (20, 24)])
+def test_marked_coefficients_solve_bit_equal_to_unmarked(shape, mode,
+                                                         with_C):
+    u0, sols = _cross_field(shape), []
+    for marked in (False, True):
+        model = _x_only_model(len(shape), with_C, marked)
+        sols.append(solve(model, u0, SolverParams(
+            dt=0.002, t_end=0.05, mode=mode, snapshot_times=(0.02, 0.05))))
+        plan = pde._plan(u0, model, mode)
+        assert (plan.a is None, plan.b is None) == (not marked,) * 2
+    for want, got in zip(*(s.snapshots for s in sols)):
+        assert np.array_equal(want.values, got.values)
+    assert sols[0].clamp_mass == sols[1].clamp_mass
+
+
+@pytest.mark.parametrize("mode", ["kernel", "local"])
+def test_marked_coefficients_evaluated_once_per_solve(mode):
+    model, u0 = _x_only_model(1, True, True), _cross_field((64,))
+    calls = []
+
+    def counted(fn):
+        return density_free(lambda x, v: calls.append(x.shape) or fn(x, v))
+    model.sigma_fns = [counted(fn) for fn in model.sigma_fns]
+    model.drift_fns = [counted(fn) for fn in model.drift_fns]
+    for t_end in (0.002, 0.05):         # 1 and 25 steps
+        calls.clear()
+        solve(model, u0, SolverParams(dt=0.002, t_end=t_end, mode=mode))
+        # per function: the value at v = 0 and the check at v = j + 1
+        assert calls == [(64, 1)] * (2 * 2 * model.M)
+
+
+def test_mixed_model_convolves_only_the_kernels_it_reads():
+    # isotropic-saturating: sigma reads G * u, the zero drift is marked,
+    # so the batch holds G and C but not H
+    k = [[[KernelSpec("gaussian", 1, bandwidth=0.3 + 0.1 * (i + j) + m)
+           for j in range(2)] for i in range(2)] for m in range(3)]
+    model = builtin_model("isotropic-saturating", 2, 1, G=k[0], H=k[1],
+                          C=k[2], psi_max=0.25)
+    u0 = _cross_field((64,))
+    plan = pde._plan(u0, model, "kernel")
+    assert plan.a is None and plan.b is not None
+    assert plan.ks == tuple(row[j] for mat in (k[0], k[2]) for row in mat
+                            for j in range(2))
+    unmarked = builtin_model("isotropic-saturating", 2, 1, G=k[0], H=k[1],
+                             C=k[2], psi_max=0.25)
+    unmarked.drift_fns = [lambda x, v, fn=fn: fn(x, v)
+                          for fn in model.drift_fns]
+    params = SolverParams(dt=0.002, t_end=0.05)
+    want, got = solve(unmarked, u0, params), solve(model, u0, params)
+    assert np.array_equal(want.snapshots[-1].values, got.snapshots[-1].values)
+
+
+@pytest.mark.parametrize("name", ["sigma", "drift"])
+def test_mislabeled_density_free_coefficient_raises(name):
+    # species 1 gets _cross_model's sigma or drift, which reads v, marked
+    model, u0 = _x_only_model(1, True, True), _cross_field((64,))
+    getattr(model, f"{name}_fns")[1] = density_free(
+        getattr(_cross_model(1), f"{name}_fns")[1])
+    with pytest.raises(ValueError, match=f"a {name} marked density_free"):
+        solve(model, u0, SolverParams(dt=0.002, t_end=0.05))
+
+
+def test_partly_marked_set_is_evaluated_every_step():
+    # one unmarked sigma keeps every sigma, marked or not, per step
+    model, u0 = _x_only_model(1, True, True), _cross_field((64,))
+    model.sigma_fns[0] = _cross_model(1).sigma_fns[0]
+    plan = pde._plan(u0, model, "kernel")
+    assert plan.a is None and plan.b is not None
+    assert len(plan.ks) == 2 * model.M ** 2      # G and C, not H
+
+
+@pytest.mark.parametrize("mode,with_C", [("local", True), ("kernel", False)])
+def test_all_marked_without_competition_kernels_never_convolves(
+        monkeypatch, mode, with_C):
+    calls = []
+    monkeypatch.setattr(pde, "convolve_field_grid",
+                        lambda *args: calls.append(args))
+    model = _x_only_model(1, with_C, True)
+    sol = solve(model, _cross_field((64,)),
+                SolverParams(dt=0.002, t_end=0.05, mode=mode))
+    assert calls == [] and np.all(np.isfinite(sol.snapshots[-1].values))
+
+
+# ----------------------------------------------------------------------
 # stability limits beyond diffusion
 
 def test_cfl_advective_bound_raises():
@@ -402,11 +505,12 @@ def test_cfl_diffusive_bound_is_named():
        st.floats(0.1, 0.5), st.floats(0.4, 0.8))
 def test_mass_is_initial_plus_clamped_without_reactions(M, d, sigma0, std):
     # r = 0 and no C: the zero-Dirichlet differences move mass only through
-    # the boundary, which this field never reaches (fraction < 1e-12)
+    # the boundary, which this field never reaches (fraction < 1e-12; on
+    # [-8, 8]^2 the widest draw, std 0.8 and sigma0 0.5, put 1.4e-12 there)
     cells = 64 if d == 1 else 32
     specs = [InitialCondition(0.5 + 0.3 * i, "gaussian", std=std, dim=d)
              for i in range(M)]
-    u0 = project_to_grid(specs, [-8.0] * d, [8.0] * d, [cells] * d)
+    u0 = project_to_grid(specs, [-10.0] * d, [10.0] * d, [cells] * d)
     m = builtin_model("constant-coefficients", M, d, sigma0=sigma0)
     sol = solve(m, u0, SolverParams(dt=0.01, t_end=0.5,
                                     snapshot_times=(0.0, 0.5)))
