@@ -25,10 +25,10 @@ reads the initial grid fields[0]; any object with these members can stand
 in for it.
 
 Coefficient derivatives are central finite differences: coefficients are
-compositions with convolved fields, not closed forms.  Within one
-inverse-flow step, sigma_eff, the drift, the gradient of sigma_eff and the
-Stratonovich correction built from it are evaluated once per distinct
-stencil point and shared read-only by every difference that needs them.
+compositions with convolved fields, not closed forms.  One inverse-flow
+step calls sigma_eff once, on its whole stencil stacked (z, z +- h e_p and
+(z +- h e_p) +- h e_q: 1 + 2d + 4d^2 point sets), and the drift once, on
+the first 1 + 2d; every difference is taken from slices of the two.
 The convolutions k * u^j of the smooth kernels are tabulated once per
 snapshot on a lattice over the padded box (FFT grid convolutions with
 cached kernel spectra) and read back through C^2 cubic splines, so the
@@ -275,15 +275,23 @@ class InverseFlowResult:
 # ---------------------------------------------------------------------
 # derivative helpers (central differences on the coefficient fields)
 
-def _fd_grad(fn, X, h):
-    """Gradient stack [d_p f(X)]: fn returns (n, ...); result (n, d, ...)."""
-    d = X.shape[1]
-    cols = []
+def _shift(X, h):
+    """The points X + h e_p and X - h e_p of every axis p, stacked first:
+    X (..., n, d) gives (2d, ..., n, d)."""
+    d = X.shape[-1]
+    out = []
     for p in range(d):
         dx = np.zeros(d)
         dx[p] = h
-        cols.append((fn(X + dx) - fn(X - dx)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+        out += [X + dx, X - dx]
+    return np.stack(out)
+
+
+def _diff(V, h, rank):
+    """Central differences [d_p f] from the values V (2d, ..., n, *r) of f
+    at the points of _shift, where rank = len(r): (..., n, d, *r)."""
+    return np.stack([(V[p] - V[p + 1]) / (2.0 * h)
+                     for p in range(0, len(V), 2)], axis=-1 - rank)
 
 
 def _guard(arr, what):
@@ -324,42 +332,6 @@ def forward_flow(coeffs: FrozenCoefficients, i: int, s: float, t: float,
     return x
 
 
-def _per_step(fn):
-    """fn(s, Y), evaluated once per distinct Y while s stays the same.
-
-    The nested stencils of one inverse-flow step revisit a few point sets
-    many times.  Keys are Y's shape and exact bytes, so every difference
-    reads the values a direct call would give; shared values are handed
-    out read-only, and the memo clears when s advances."""
-    step, memo = None, {}
-
-    def call(s, Y):
-        nonlocal step
-        if s != step:
-            step = s
-            memo.clear()
-        key = (Y.shape, Y.tobytes())
-        val = memo.get(key)
-        if val is None:
-            val = memo[key] = fn(s, Y).view()
-            val.flags.writeable = False
-        return val
-    return call
-
-
-def _inverse_coeff_fns(coeffs, i, t, h_fd):
-    """A(s, y) of the reverted Ito equation, its gradient dA (n, p, k, q),
-    the correction corr_k = sum_{l,q} A_lq d_l A_kq and beta(s, y), each
-    evaluated once per distinct y within a step."""
-    A = _per_step(lambda s, Y: coeffs.sigma_eff(i, t - s, Y))
-    dA = _per_step(lambda s, Y: _fd_grad(lambda Z: A(s, Z), Y, h_fd))
-    corr = _per_step(lambda s, Y: np.einsum("nlq,nlkq->nk", A(s, Y),
-                                            dA(s, Y)))
-    # b_hat = b - corr
-    beta = _per_step(lambda s, Y: -(coeffs.drift(i, t - s, Y) - corr(s, Y)))
-    return A, dA, corr, beta
-
-
 def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
                  y: np.ndarray, dt: float, rng: np.random.Generator = None,
                  increments: np.ndarray = None) -> InverseFlowResult:
@@ -381,7 +353,6 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
             raise ValueError("need an rng or precomputed increments")
         increments = rng.standard_normal((m, n, d)) * math.sqrt(h)
 
-    A_fn, dA_fn, corr_fn, beta_fn = _inverse_coeff_fns(coeffs, i, t, h_fd)
     paths = np.empty((m + 1, n, d))
     jac = np.empty((m + 1, n, d, d))
     det_m = np.empty((m + 1, n))
@@ -394,17 +365,32 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
     for k in range(m):
         s_k = times[k]
         dW = increments[k]
-        A = A_fn(s_k, z)
-        beta = beta_fn(s_k, z)
-        dA = dA_fn(s_k, z)                                  # (n, p, k, q)
-        dbeta = _fd_grad(lambda Y: beta_fn(s_k, Y), z, h_fd)    # (n, p, k)
+        # the stencil: Y = z, z +- h e_p and, for the gradients at those,
+        # (z +- h e_p) +- h e_q; sigma_eff at all of them in one call
+        Y = np.concatenate([z[None], _shift(z, h_fd)])      # (1 + 2d, n, d)
+        YY = _shift(Y[1:], h_fd)                            # (2d, 2d, n, d)
+        S = coeffs.sigma_eff(i, t - s_k, np.concatenate(
+            [Y, YY.reshape(-1, n, d)]).reshape(-1, d)).reshape(-1, n, d, d)
+        AY = S[:1 + 2 * d]
+        # the gradient at z reads the shifts of z, which are Y[1:]
+        dAY = _diff(np.concatenate(
+            [AY[1:, None], S[1 + 2 * d:].reshape(2 * d, 2 * d, n, d, d)],
+            axis=1), h_fd, 2)                           # (1 + 2d, n, p, k, q)
+        # Stratonovich correction corr_k = sum_{l,q} A_lq d_l A_kq, and
+        # beta = -(b - corr)
+        corr = np.stack([np.einsum("nlq,nlkq->nk", a, g)
+                         for a, g in zip(AY, dAY)])
+        betaY = -(coeffs.drift(i, t - s_k, Y.reshape(-1, d)).reshape(
+            -1, n, d) - corr)
+        A, beta, dA = AY[0], betaY[0], dAY[0]
+        dbeta = _diff(betaY[1:], h_fd, 1)                   # (n, p, k)
 
         # divergence of each noise column and of the Stratonovich drift
-        div_A = np.einsum("nkkq->nq", dA)                   # f^q
-        ddivA = _fd_grad(lambda Y: np.einsum("nkkq->nq", dA_fn(s_k, Y)),
-                         z, h_fd)                           # (n, p, q)
+        div_AY = np.stack([np.einsum("nkkq->nq", g) for g in dAY])
+        div_A = div_AY[0]                                   # f^q
+        ddivA = _diff(div_AY[1:], h_fd, 1)                  # (n, p, q)
         # beta_circ = beta - 1/2 corr
-        dcorr = _fd_grad(lambda Y: corr_fn(s_k, Y), z, h_fd)
+        dcorr = _diff(corr[1:], h_fd, 1)
         div_beta_circ = np.einsum("nkk->n", dbeta) \
             - 0.5 * np.einsum("nkk->n", dcorr)
 
@@ -464,6 +450,7 @@ def feynman_kac_functional(coeffs: FrozenCoefficients, model: CoefficientModel,
     The outer integral over xi^i_0 is a quadrature over the initial grid;
     the expectation is Monte Carlo over n_paths replicas of the flow.
     """
+    coeffs.check_spacing(dt)
     u0 = coeffs.fields[0]
     pts = u0.centers()
     w = u0.values[i].ravel() * u0.cell_volume

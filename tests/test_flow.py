@@ -7,10 +7,9 @@ from _coefficients import CallableCoefficients, synthetic_coeffs
 from crossdiff.config import (build_initial, build_model, grid_box,
                               solver_params)
 from crossdiff.flow import (ConvolutionTable, FlowError, FrozenCoefficients,
-                            _inverse_coeff_fns, _lattice,
-                            compose_inverse_forward, density_estimate,
-                            feynman_kac_functional, forward_flow,
-                            inverse_flow)
+                            _lattice, compose_inverse_forward,
+                            density_estimate, feynman_kac_functional,
+                            forward_flow, inverse_flow)
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import KernelSpec, convolve_field, convolve_field_grid
@@ -106,8 +105,8 @@ def test_jacobian_matches_common_noise_finite_difference():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_inverse_flow_step_evaluates_each_stencil_point_once(monkeypatch, d):
-    # the nested differences of one step visit 1 + 2d + 4d^2 point sets
-    # for sigma and 1 + 2d for the drift
+    # one sigma call on all 1 + 2d + 4d^2 point sets of a step and one
+    # drift call on its first 1 + 2d
     c = synthetic_coeffs(d)
     calls = {"_sigma_fn": 0, "_drift_fn": 0}
     for name in calls:
@@ -116,21 +115,95 @@ def test_inverse_flow_step_evaluates_each_stencil_point_once(monkeypatch, d):
             return fn(i, t, X)
         monkeypatch.setattr(c, name, counted)
     y = np.random.default_rng(0).uniform(-1, 1, (5, d))
-    inverse_flow(c, 0, 0.01, y, dt=0.01, rng=np.random.default_rng(1))
-    assert 0 < calls["_sigma_fn"] <= 1 + 2 * d + 4 * d * d
-    assert 0 < calls["_drift_fn"] <= 1 + 2 * d
+    inv = inverse_flow(c, 0, 0.03, y, dt=0.01, rng=np.random.default_rng(1))
+    m = inv.increments.shape[0]
+    assert m == 3
+    assert calls == {"_sigma_fn": m, "_drift_fn": m}
 
 
-def test_shared_stencil_values_are_read_only():
-    # A, its gradient, the Stratonovich correction and beta
-    Y = np.linspace(-1.0, 1.0, 4)[:, None]
-    for fn in _inverse_coeff_fns(synthetic_coeffs(), 0, 0.5, 1e-3):
-        v = fn(0.0, Y)
-        assert fn(0.0, Y.copy()) is v   # same bytes: one evaluation
-        with pytest.raises(ValueError):
-            v[0] += 1.0
-        assert fn(0.1, Y) is not v      # the memo clears when s advances
-        np.testing.assert_array_equal(fn(0.1, Y), v)
+def _central(fn, X, h):
+    """[d_p fn(X)] by central differences: fn returns (n, ...), the result
+    is (n, d, ...)."""
+    d = X.shape[1]
+    cols = []
+    for p in range(d):
+        dx = np.zeros(d)
+        dx[p] = h
+        cols.append((fn(X + dx) - fn(X - dx)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def _reference_inverse_flow(coeffs, i, t, y, increments):
+    """inverse_flow with every coefficient derivative a nest of plain
+    central differences, evaluated afresh at each use."""
+    m, n, d = increments.shape
+    h = t / m
+    h_fd = 1e-4 * coeffs.domain_scale()
+
+    def A(s, Y):
+        return coeffs.sigma_eff(i, t - s, Y)
+
+    def dA(s, Y):
+        return _central(lambda Z: A(s, Z), Y, h_fd)
+
+    def corr(s, Y):
+        return np.einsum("nlq,nlkq->nk", A(s, Y), dA(s, Y))
+
+    def beta(s, Y):
+        return -(coeffs.drift(i, t - s, Y) - corr(s, Y))
+
+    z = np.array(y, dtype=float)
+    J = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    D = np.ones(n)
+    out = [(z, J, np.ones(n), D)]
+    for k in range(m):
+        s, dW = k * h, increments[k]
+        a, g = A(s, z), dA(s, z)
+        dbeta = _central(lambda Y: beta(s, Y), z, h_fd)
+        div_A = np.einsum("nkkq->nq", g)
+        ddivA = _central(lambda Y: np.einsum("nkkq->nq", dA(s, Y)), z, h_fd)
+        dcorr = _central(lambda Y: corr(s, Y), z, h_fd)
+        div_beta_circ = np.einsum("nkk->n", dbeta) \
+            - 0.5 * np.einsum("nkk->n", dcorr)
+        z_new = z + np.einsum("nkq,nq->nk", a, dW) + beta(s, z) * h
+        J_new = J + np.einsum("npkq,nq,npl->nkl", g, dW, J) \
+            + np.einsum("npk,npl->nkl", dbeta, J) * h
+        ito_corr = 0.5 * (np.einsum("nq,nq->n", div_A, div_A)
+                          + np.einsum("npq,npq->n", ddivA,
+                                      np.swapaxes(a, 1, 2)))
+        D = D + D * (np.einsum("nq,nq->n", div_A, dW)
+                     + (div_beta_circ + ito_corr) * h)
+        z, J = z_new, J_new
+        out.append((z, J, np.linalg.det(J), D))
+    return [np.stack(col) for col in zip(*out)]
+
+
+@pytest.mark.parametrize("case", ["synthetic-1d", "synthetic-2d", "flow",
+                                  "gaussian-G"])
+def test_inverse_flow_equals_nested_central_differences(case):
+    # bit for bit.  "flow" is the criterion-08 problem, whose constant G
+    # and H are read through convolve_field at every point; "gaussian-G"
+    # reads G from its table, and through convolve_field for the paths
+    # that start beyond the table's lattice
+    if case.startswith("synthetic"):
+        d = int(case[-2])
+        c, t, dt = synthetic_coeffs(d), 0.1, 0.01
+        y = np.random.default_rng(d).uniform(-1, 1, (7, d))
+    else:
+        if case == "flow":
+            m, sol = _table_case("gaussian", 128, 1, 0.6)
+            c, t, dt = FrozenCoefficients.from_pde(m, sol), 0.02, 0.002
+            k = m.C[0][0]
+        else:
+            m, t, dt, c = _gaussian_G_flow(0.05)
+            k = m.G[0][0]
+        y = np.array([[-0.4], [0.0], [0.9], [-9.5], [11.0]])
+        assert not c.tables[(k, 0)].inside(y[3:]).any()
+    inv = inverse_flow(c, 0, t, y, dt, np.random.default_rng(17))
+    ref = _reference_inverse_flow(c, 0, t, y, inv.increments)
+    for got, want in zip((inv.paths, inv.jacobians, inv.det_matrix,
+                          inv.det_sde), ref):
+        assert np.array_equal(got, want)
 
 
 def test_composition_error_shrinks_with_dt():
@@ -202,9 +275,15 @@ def test_from_pde_spacing_check():
     sol = solve(m, u0, SolverParams(dt=0.005, t_end=0.5,
                                     snapshot_times=(0.0, 0.25, 0.5)))
     c = FrozenCoefficients.from_pde(m, sol)
-    with pytest.raises(ValueError):
-        forward_flow(c, 0, 0.0, 0.5, [[0.0]], dt=0.005,
-                     rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    # every path function refuses snapshots more than 10 dt apart
+    for run in (lambda: forward_flow(c, 0, 0.0, 0.5, [[0.0]], 0.005, rng),
+                lambda: inverse_flow(c, 0, 0.5, [[0.0]], 0.005, rng),
+                lambda: feynman_kac_functional(
+                    c, m, lambda x: np.ones(x.shape[0]), 0, 0.5, 4, 0.005,
+                    rng)):
+        with pytest.raises(ValueError, match="snapshot spacing 0.25 exceeds"):
+            run()
     # dt large enough that snapshots are within 10 dt is accepted
     forward_flow(c, 0, 0.0, 0.5, [[0.0]], dt=0.025,
                  rng=np.random.default_rng(0))
@@ -340,9 +419,9 @@ def test_tables_single_cell_field(family, dim, ratio):
     assert err <= 1e-5 * np.max(ref)
 
 
-def test_from_pde_gaussian_G_determinant_routes_agree():
-    # a non-constant Gaussian G: the nested finite differences of
-    # inverse_flow read second derivatives of sigma through the C^2 spline
+def _gaussian_G_flow(t):
+    """(model, t, dt, coefficients) of the frozen flow to t of a saturating
+    sigma that reads a Gaussian G."""
     cfg = {"seed": 3,
            "model": {"M": 1, "dim": 1, "family": "isotropic-saturating",
                      "params": {"psi_max": 0.25},
@@ -350,11 +429,18 @@ def test_from_pde_gaussian_G_determinant_routes_agree():
                                        "bandwidth": 0.5}}},
            "initial": [{"mass": 0.8, "kind": "gaussian", "std": 0.6}],
            "pde": {"lo": -5.0, "hi": 5.0, "cells": 128, "dt": 0.002,
-                   "t_end": 0.2},
-           "flow": {"t": 0.2, "dt": 0.005}}
+                   "t_end": t},
+           "flow": {"t": t, "dt": 0.005}}
     m = build_model(cfg)
     u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     t, dt, _, coeffs = frozen_flow(cfg, m, u0)
+    return m, t, dt, coeffs
+
+
+def test_from_pde_gaussian_G_determinant_routes_agree():
+    # a non-constant Gaussian G: the nested finite differences of
+    # inverse_flow read second derivatives of sigma through the C^2 spline
+    m, t, dt, coeffs = _gaussian_G_flow(0.2)
     assert (m.G[0][0], 0) in coeffs.tables
     y = np.repeat(np.array([[-0.5], [0.0], [0.7]]), 20, axis=0)
     inv = inverse_flow(coeffs, 0, t, y, dt, np.random.default_rng(12))
