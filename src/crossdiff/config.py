@@ -41,7 +41,7 @@ _KEYS = {
     "ibm": {"K", "dt", "t_end", "scheme", "replicas", "snapshot_times",
             "ceiling"},
     "pde": {"lo", "hi", "cells", "dt", "t_end", "mode", "snapshot_times",
-            "cfl_safety", "leak_budget", "eps"},
+            "eps"},
     "flow": {"species", "t", "dt", "n_paths", "probes"},
     "uniqueness": {"deltas", "shift_axis"},
     "validate": {"lo", "hi", "v_max", "v_min", "n"},
@@ -229,9 +229,7 @@ def solver_params(cfg: dict, mode=None) -> SolverParams:
     pcfg = _required(cfg, "pde", "dt", "t_end")
     return SolverParams(dt=float(pcfg["dt"]), t_end=float(pcfg["t_end"]),
                         mode=mode or pcfg.get("mode", "kernel"),
-                        snapshot_times=tuple(pcfg.get("snapshot_times") or ()),
-                        cfl_safety=float(pcfg.get("cfl_safety", 0.9)),
-                        leak_budget=float(pcfg.get("leak_budget", 1e-6)))
+                        snapshot_times=tuple(pcfg.get("snapshot_times") or ()))
 
 
 def grid_box(cfg: dict):

@@ -213,7 +213,7 @@ class FrozenCoefficients:
         """(k * u^j_t)(X) with u_t blended linearly between snapshots."""
         table = self.tables.get((k, j))
         if table is None:
-            return np.atleast_1d(convolve_field(k, self._field_at(t), j, X))
+            return convolve_field(k, self._field_at(t), j, X)
         inside = table.inside(X)
         out = np.zeros(X.shape[0])
         out[inside] = table(self._time_weights(t), X[inside])

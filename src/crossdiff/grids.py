@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -58,10 +56,10 @@ class GridField:
         return self.lo[axis] + (np.arange(n) + 0.5) * h
 
     def centers(self) -> np.ndarray:
-        """All cell centers as an (n_cells, d) array in C order; read-only,
-        cached per box and grid shape."""
-        return _centers(tuple(self.lo.tolist()), tuple(self.hi.tolist()),
-                        self.shape)
+        """All cell centers as an (n_cells, d) array in C order."""
+        mesh = np.meshgrid(*[self.axis_centers(k) for k in range(self.dim)],
+                           indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def mass(self, i: int | None = None):
         if i is None:
@@ -107,13 +105,3 @@ class GridField:
                 wt = wt * (w[:, axis] if bit else (1.0 - w[:, axis]))
             out += wt * v[tuple(idx[:, axis] for axis in range(self.dim))]
         return out
-
-
-@lru_cache(maxsize=8)
-def _centers(lo: tuple, hi: tuple, shape: tuple) -> np.ndarray:
-    grid = GridField(lo, hi, np.empty((0,) + shape))
-    mesh = np.meshgrid(*[grid.axis_centers(k) for k in range(grid.dim)],
-                       indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts.flags.writeable = False
-    return pts

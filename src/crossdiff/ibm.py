@@ -59,7 +59,7 @@ class PopulationState:
         return np.array([s.positions.shape[0] for s in self.species])
 
     def measure(self, i: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.species[i].positions.copy(), self.K, i)
+        return EmpiricalMeasure(self.species[i].positions.copy(), self.K)
 
     def copy(self):
         return PopulationState([s.copy() for s in self.species], self.K,

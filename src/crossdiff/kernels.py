@@ -2,7 +2,9 @@
 
 Kernels are immutable after construction and every operation here is pure,
 so they are safe to share across threads.  Convolutions against empirical
-measures are exact to roundoff.  Gaussian kernels in d <= 2 use Gaussian
+measures are exact to roundoff.  The point convolutions (convolve_empirical
+and convolve_field) take an (n, d) batch of query points and return (n,);
+any other shape raises ValueError.  Gaussian kernels in d <= 2 use Gaussian
 gridding (k_eps = k_s * k_s, s = eps / sqrt(2), spread on a grid of step
 eps / 4 and gathered by the trapezoid rule, relative error ~exp(-8 pi^2))
 whenever its cost, grid nodes x (N + Q) for N atoms and Q queries, is below
@@ -17,7 +19,8 @@ sum, one forward FFT of all species, one product and one inverse FFT of
 the batch.  The rest (constant/FFT split, gather indices, stacked kernel
 spectra, crop) is a batch plan cached per kernel tuple, species tuple,
 grid shape, spacing and offset in a bounded, thread-safe LRU cache.  Its
-"direct" method is the oracle, and the two agree to 1e-8.
+test oracle is convolve_field at the shifted cell centres, and the two
+agree to 1e-8.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import fft
 
 from .grids import GridField
 
@@ -43,6 +46,7 @@ CHUNK = 2 ** 22
 @lru_cache(maxsize=None)
 def _bump_norm(dim: int) -> float:
     """Integral of exp(-1/(1-|u|^2)) over the unit ball."""
+    from scipy import integrate
     prof = lambda r: math.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0
     if dim == 1:
         val, _ = integrate.quad(prof, -1.0, 1.0)
@@ -193,7 +197,6 @@ class EmpiricalMeasure:
 
     atoms: np.ndarray    # (N, d)
     K: int
-    species: int = 0
 
     def __post_init__(self):
         self.atoms = np.asarray(self.atoms, dtype=float)
@@ -217,31 +220,32 @@ class EmpiricalMeasure:
         return self.n_atoms / self.K
 
 
-def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure,
-                       x) -> np.ndarray | float:
-    """(k * nu)(x) = (1/K) sum_n k(x - x_n), exact to roundoff.
+def _queries(k: KernelSpec, x) -> np.ndarray:
+    """x as an (n, d) float array of query points in the kernel's R^d."""
+    xq = np.asarray(x, dtype=float)
+    if xq.ndim != 2 or xq.shape[1] != k.dim:
+        raise ValueError(f"expected an (n, {k.dim}) array of query points")
+    return xq
 
-    x may be a single d-vector or an (n, d) batch; empty measures give 0.
+
+def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x) -> np.ndarray:
+    """(k * nu)(x) = (1/K) sum_n k(x - x_n) at an (n, d) batch of points,
+    exact to roundoff; empty measures give 0.
     Gaussian kernels in d <= 2 go through Gaussian gridding when its cost,
     grid nodes x (N + Q), is below the N x Q of the direct sum (weighted by
     GRIDDING_PAIR_COST in 2-d); every other case is the direct sum.
     """
-    single = np.asarray(x, dtype=float).ndim == 1
-    xq = np.atleast_2d(np.asarray(x, dtype=float))
+    xq = _queries(k, x)
     if nu.n_atoms == 0:
-        out = np.zeros(xq.shape[0])
-    elif k.family == "constant":
-        out = np.full(xq.shape[0], k.amplitude * nu.mass)
-    else:
-        grid = _gridding_grid(k, nu.atoms, xq)
-        n_atoms, n_query = nu.n_atoms, xq.shape[0]
-        pair_cost = GRIDDING_PAIR_COST if k.dim == 2 else 1.0
-        if grid is not None and np.prod(grid[1]) * (n_atoms + n_query) \
-                < pair_cost * n_atoms * n_query:
-            out = _gridded_sum(k, nu.atoms, xq, nu.K, CHUNK, *grid)
-        else:
-            out = _direct_sum(k, nu.atoms, xq, nu.K, CHUNK)
-    return float(out[0]) if single else out
+        return np.zeros(xq.shape[0])
+    if k.family == "constant":
+        return np.full(xq.shape[0], k.amplitude * nu.mass)
+    grid = _gridding_grid(k, nu.atoms, xq)
+    pair_cost = GRIDDING_PAIR_COST if k.dim == 2 else 1.0
+    if grid is not None and np.prod(grid[1]) * (nu.n_atoms + len(xq)) \
+            < pair_cost * nu.n_atoms * len(xq):
+        return _gridded_sum(k, nu.atoms, xq, nu.K, CHUNK, *grid)
+    return _direct_sum(k, nu.atoms, xq, nu.K, CHUNK)
 
 
 def _direct_sum(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray, K: int,
@@ -327,15 +331,13 @@ def _gridded_sum(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray, K: int,
 # grid-field convolutions
 
 def convolve_field(k: KernelSpec, u: GridField, species: int,
-                   x) -> np.ndarray | float:
-    """Midpoint-rule quadrature of int k(x - y) u(y) dy at query points."""
+                   x) -> np.ndarray:
+    """Midpoint-rule quadrature of int k(x - y) u(y) dy at (n, d) points."""
     if k.dim != u.dim:
         raise ValueError("kernel and field dimensions differ")
-    single = np.asarray(x, dtype=float).ndim == 1
-    xq = np.atleast_2d(np.asarray(x, dtype=float))
+    xq = _queries(k, x)
     if k.family == "constant":
-        out = np.full(xq.shape[0], k.amplitude * u.mass(species))
-        return float(out[0]) if single else out
+        return np.full(xq.shape[0], k.amplitude * u.mass(species))
     centers = u.centers()
     vals = u.values[species].ravel() * u.cell_volume
     out = np.zeros(xq.shape[0])
@@ -345,7 +347,7 @@ def convolve_field(k: KernelSpec, u: GridField, species: int,
         diff = q[:, None, :] - centers[None, :, :]
         r2 = np.einsum("qnk,qnk->qn", diff, diff)
         out[start:start + block] = k._eval_radius2(r2) @ vals
-    return float(out[0]) if single else out
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -379,21 +381,17 @@ def _batch_plan(ks: tuple, js: tuple, shape: tuple, spacing: tuple,
                                           for n in shape))
 
 
-def convolve_field_grid(k, u: GridField, species, method: str = "fft",
-                        offset=None) -> np.ndarray:
+def convolve_field_grid(k, u: GridField, species, offset=None) -> np.ndarray:
     """Whole-grid convolution, same quadrature as convolve_field.
 
     Values are taken at the cell centres shifted by offset (a d-vector,
     zero by default).  Equal-length sequences k and species give the stack
     (P, *shape) of k[p] * u^species[p]: one forward FFT of every species and
-    one inverse FFT of the stack.  method "fft" is the zero-padded
-    discrete-Fourier fast path through a cached batch plan; "direct" is
-    the O(n^2) oracle retained for tests.
+    one inverse FFT of the stack, zero-padded, through a cached batch
+    plan.  Its test oracle is convolve_field at u.centers() + offset.
     """
     single = isinstance(k, KernelSpec)
     ks, js = ((k,), (species,)) if single else (tuple(k), tuple(species))
-    if method not in ("fft", "direct"):
-        raise ValueError("method must be 'fft' or 'direct'")
     offset = (0.0,) * u.dim if offset is None else \
         tuple(np.asarray(offset, dtype=float).reshape(u.dim).tolist())
     const, amps, const_js, rest, rest_js, spectra, fshape, crop = \
@@ -401,11 +399,7 @@ def convolve_field_grid(k, u: GridField, species, method: str = "fft",
     out = np.empty((len(ks),) + u.shape)
     if const.size:
         out[const] = (amps * u.mass()[const_js]).reshape((-1,) + (1,) * u.dim)
-    if method == "direct":
-        for p in rest:
-            out[p] = convolve_field(ks[p], u, js[p], u.centers() + offset
-                                    ).reshape(u.shape)
-    elif rest.size:
+    if rest.size:
         axes = range(1, u.dim + 1)
         uspec = fft.rfftn(u.values, fshape, axes=axes)
         conv = fft.irfftn(uspec[rest_js] * spectra, fshape, axes=axes)[crop]

@@ -229,9 +229,10 @@ class ValidationReport:
 def validate(model: CoefficientModel, probes: ProbeSpec) -> ValidationReport:
     """Monte-Carlo check of assumptions (i)-(iv) on probe samples.
 
-    Failures are reported, never raised.  Assumption (ii) is validated as
-    the affine bound |sigma| <= C_M (1 + |x|): the literal C_M |x| form
-    forces sigma(0) = 0 and excludes the constant-coefficient examples.
+    Failures are reported, never raised, and a NaN estimate fails.
+    Assumption (ii) is validated as the affine bound |sigma| <= C_M (1 + |x|):
+    the literal C_M |x| form forces sigma(0) = 0 and excludes the
+    constant-coefficient examples.
     """
     rng = np.random.default_rng(probes.seed)
     n = probes.n
@@ -265,7 +266,7 @@ def validate(model: CoefficientModel, probes: ProbeSpec) -> ValidationReport:
                    + np.sum(np.abs(v - vb), axis=1))
             ok = den > 1e-12
             if np.any(ok):
-                lip = max(lip, float(np.max(num[ok] / den[ok])))
+                lip = float(np.max(num[ok] / den[ok], initial=lip))
     checks.append(AssumptionCheck(
         "(i) Lipschitz constant L", lip, model.lipschitz_bound,
         lip <= probes.tol * model.lipschitz_bound))
@@ -275,7 +276,8 @@ def validate(model: CoefficientModel, probes: ProbeSpec) -> ValidationReport:
     for i in range(M):
         s = model.eval_sigma(i, x, v)
         nrm = np.sqrt(np.sum(s ** 2, axis=(1, 2)))
-        ratio = max(ratio, float(np.max(nrm / (1.0 + np.sqrt(np.sum(x * x, axis=1))))))
+        ratio = float(np.max(nrm / (1.0 + np.sqrt(np.sum(x * x, axis=1))),
+                             initial=ratio))
     checks.append(AssumptionCheck(
         "(ii) growth bound C_M (affine form)", ratio,
         model.growth_scale_bound,

@@ -10,9 +10,11 @@ with a_eff = (noise_scale^2 / 2) sigma sigma* and competition either the
 kernel form sum_j C^ij * u^j or the local form sum_j c_ij u^j.  The double
 divergence is discretized directly as differences of the product a u,
 matching the weak form term by term; boundary is zero Dirichlet on a box
-padded so boundary mass stays negligible.  solve builds one step plan
-before its loop (checks, convolution batch, grid constants, growth rates
-and density-free coefficients at the cell centres) for every step.
+padded so boundary mass stays negligible; a solve flags a boundary mass
+fraction above LEAK_BUDGET.  solve builds one step plan before its loop
+(checks, convolution batch, grid constants, growth rates and density-free
+coefficients at the cell centres).  A step raises CFLError unless dt times
+each stability rate is at most CFL_SAFETY, so a NaN rate raises too.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .kernels import convolve_field_grid
 from .model import CoefficientModel, diffusion_matrix
 
 
+# bound on dt times each stability rate, and on the boundary mass fraction
+CFL_SAFETY = 0.9
+LEAK_BUDGET = 1e-6
+
+
 class CFLError(RuntimeError):
     """Time step violates the explicit stability bound."""
 
@@ -37,8 +44,6 @@ class SolverParams:
     t_end: float
     mode: str = "kernel"            # "kernel" or "local"
     snapshot_times: tuple = ()
-    cfl_safety: float = 0.9
-    leak_budget: float = 1e-6       # boundary mass fraction flag threshold
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end + 1e-15:
@@ -200,25 +205,25 @@ def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel",
 
 
 def _check_cfl(dt: float, plan: _StepPlan, a_sup: float, b_rate: float,
-               react_sup: float, safety: float):
-    """dt times each rate of the Euler step stays below safety: diffusive
-    2 d sup a / h^2, advective max_k max|b_k| / h_k, reaction max|r - death|."""
+               react_sup: float):
+    """dt times each rate of the Euler step stays below CFL_SAFETY:
+    diffusive 2 d sup a / h^2, advective max_k max|b_k| / h_k, reaction
+    max|r - death|.  A rate that is not finite is over its bound."""
     rates = {"diffusive": 2.0 * plan.model.d * a_sup / plan.h2,
              "advective": b_rate, "reaction": react_sup}
     for name, rate in rates.items():
-        if dt * rate > safety * (1.0 + 1e-12):
+        if not dt * rate <= CFL_SAFETY * (1.0 + 1e-12):
             raise CFLError(f"dt={dt:g} exceeds the {name} stability bound "
-                           f"{safety / rate:g} (rate {rate:g})")
+                           f"{CFL_SAFETY / rate:g} (rate {rate:g})")
 
 
 def step(u: GridField, model: CoefficientModel, dt: float,
-         mode: str = "kernel", cfl_safety: float = 0.9,
-         plan: _StepPlan | None = None):
+         mode: str = "kernel", plan: _StepPlan | None = None):
     """One explicit Euler step; returns (new field, clamped mass).
     plan is the solve's step plan, built here when omitted."""
     plan = _plan(u, model, mode, plan)
     dudt, *rates = rhs(u, model, mode, plan)
-    _check_cfl(dt, plan, *rates, cfl_safety)
+    _check_cfl(dt, plan, *rates)
     new = u.values + dt * dudt
     clamped = float(-np.minimum(new, 0.0).sum() * plan.vol)
     return GridField(u.lo, u.hi, np.maximum(new, 0.0), u.time + dt), clamped
@@ -251,8 +256,7 @@ def solve(model: CoefficientModel, u0: GridField,
         snapshots.append(u.copy())
     plan = _plan(u, model, params.mode)
     for k in range(1, n_steps + 1):
-        u, clamped = step(u, model, params.dt, params.mode,
-                          params.cfl_safety, plan)
+        u, clamped = step(u, model, params.dt, params.mode, plan)
         u.time = k * params.dt
         clamp_total += clamped
         if k in snap_steps:
@@ -261,7 +265,7 @@ def solve(model: CoefficientModel, u0: GridField,
     masses = np.array([[s.mass(i) for i in range(model.M)]
                        for s in snapshots])
     return PDESolution(snapshots, params, clamp_total, max_bdry,
-                       max_bdry > params.leak_budget, masses)
+                       max_bdry > LEAK_BUDGET, masses)
 
 
 # ---------------------------------------------------------------------

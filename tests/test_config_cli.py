@@ -734,12 +734,13 @@ def test_cli_flow_2d_probe_column_parses_to_floats(tmp_path, capsys):
     assert ys == [[0.0, 0.0], [0.3, 0.1]]
 
 
-def test_package_import_leaves_scipy_interpolate_and_signal_unloaded():
+def test_package_import_leaves_slow_scipy_modules_unloaded():
     # each adds tens of milliseconds to every process start; only the
-    # code that builds a spline table imports scipy.interpolate
+    # code that builds a spline table imports scipy.interpolate, and only
+    # the compact-bump normalization scipy.integrate
     code = ("import sys, crossdiff, crossdiff.cli, crossdiff.studies; "
-            "print([m for m in ('scipy.interpolate', 'scipy.signal') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.interpolate', 'scipy.signal', "
+            "'scipy.integrate') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(crossdiff.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -44,13 +44,13 @@ def test_kernel_nonnegative_on_lattice():
 
 def test_convolve_empirical_constant_is_mass():
     k = KernelSpec("constant", 1, amplitude=1.0)
-    nu = EmpiricalMeasure(np.linspace(0, 1, 7)[:, None], K=3, species=0)
+    nu = EmpiricalMeasure(np.linspace(0, 1, 7)[:, None], K=3)
     assert convolve_empirical(k, nu, [[0.4]])[0] == pytest.approx(7 / 3)
 
 
 def test_convolve_empirical_single_atom():
     k = KernelSpec("gaussian", 1, bandwidth=1.0)
-    nu = EmpiricalMeasure(np.array([[0.0]]), K=1, species=0)
+    nu = EmpiricalMeasure(np.array([[0.0]]), K=1)
     assert convolve_empirical(k, nu, [[0.0]])[0] == pytest.approx(0.398942,
                                                                   abs=1e-6)
 
@@ -58,14 +58,14 @@ def test_convolve_empirical_single_atom():
 def test_convolve_empirical_two_atoms():
     # (1/2) * (phi(1) + phi(-1)) = phi(1) ~ 0.241971
     k = KernelSpec("gaussian", 1, bandwidth=1.0)
-    nu = EmpiricalMeasure(np.array([[-1.0], [1.0]]), K=2, species=0)
+    nu = EmpiricalMeasure(np.array([[-1.0], [1.0]]), K=2)
     assert convolve_empirical(k, nu, [[0.0]])[0] == pytest.approx(0.241971,
                                                                   abs=1e-6)
 
 
 def test_convolve_empirical_empty():
     k = KernelSpec("gaussian", 1, bandwidth=1.0)
-    nu = EmpiricalMeasure(np.zeros((0, 1)), K=5, species=0)
+    nu = EmpiricalMeasure(np.zeros((0, 1)), K=5)
     assert convolve_empirical(k, nu, [[0.0]])[0] == 0.0
 
 
@@ -74,9 +74,9 @@ def test_convolve_empirical_linear_in_measure():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(6, 1)), rng.normal(size=(9, 1))
     x = rng.normal(size=(4, 1))
-    merged = convolve_empirical(k, EmpiricalMeasure(np.vstack([a, b]), 2, 0), x)
-    parts = (convolve_empirical(k, EmpiricalMeasure(a, 2, 0), x)
-             + convolve_empirical(k, EmpiricalMeasure(b, 2, 0), x))
+    merged = convolve_empirical(k, EmpiricalMeasure(np.vstack([a, b]), 2), x)
+    parts = (convolve_empirical(k, EmpiricalMeasure(a, 2), x)
+             + convolve_empirical(k, EmpiricalMeasure(b, 2), x))
     np.testing.assert_allclose(merged, parts, rtol=1e-12)
 
 
@@ -215,9 +215,28 @@ def test_convolve_empirical_direct_route_bit_identical(case):
     nu = EmpiricalMeasure(atoms, K=700)
     ref = kernels._direct_sum(k, atoms, q, 700, 2 ** 22)
     if case == "one-query":
-        assert convolve_empirical(k, nu, q[0]) == ref[0]
+        assert np.array_equal(convolve_empirical(k, nu, q[:1]), ref[:1])
     else:
         assert np.array_equal(convolve_empirical(k, nu, q), ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_point_convolutions_reject_a_flat_query(dim):
+    # a flat array is not read as one point: in 1-d five points would be
+    # one point in R^5, in 2-d a single d-vector would return a scalar
+    k = KernelSpec("gaussian", dim, bandwidth=0.5)
+    nu = EmpiricalMeasure(np.zeros((3, dim)), K=3)
+    u = GridField(-np.ones(dim), np.ones(dim), np.ones((1,) + (8,) * dim))
+    flat = np.linspace(-0.5, 0.5, 5) if dim == 1 else np.array([0.1, 0.2])
+    for bad in (flat, flat[None, :, None], np.zeros((4, dim + 1))):
+        with pytest.raises(ValueError, match="array of query points"):
+            convolve_empirical(k, nu, bad)
+        with pytest.raises(ValueError, match="array of query points"):
+            convolve_field(k, u, 0, bad)
+    assert convolve_empirical(k, nu, flat.reshape(-1, dim)).shape == \
+        (flat.size // dim,)
+    assert convolve_field(k, u, 0, flat.reshape(-1, dim)).shape == \
+        (flat.size // dim,)
 
 
 def _field(mass=2.0, std=1.0, cells=256, half=8.0):
@@ -248,13 +267,19 @@ def test_convolve_field_gaussian_oracle():
     assert got == pytest.approx(expect, rel=1e-4)
 
 
+def _direct_grid(k, u, j, offset=0.0):
+    """The O(n^2) oracle of convolve_field_grid: convolve_field at the
+    shifted cell centres."""
+    return convolve_field(k, u, j, u.centers() + offset).reshape(u.shape)
+
+
 def test_convolve_field_grid_matches_direct():
     rng = np.random.default_rng(3)
     u = GridField(np.array([-2.0]), np.array([2.0]),
                   rng.random((1, 64)), 0.0)
     k = KernelSpec("gaussian", 1, bandwidth=0.4)
-    fast = convolve_field_grid(k, u, 0, method="fft")
-    direct = convolve_field_grid(k, u, 0, method="direct")
+    fast = convolve_field_grid(k, u, 0)
+    direct = _direct_grid(k, u, 0)
     np.testing.assert_allclose(fast, direct, rtol=1e-8, atol=1e-12)
 
 
@@ -263,8 +288,8 @@ def test_convolve_field_grid_matches_direct_2d():
     u = GridField(np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
                   rng.random((1, 24, 24)), 0.0)
     k = KernelSpec("gaussian", 2, bandwidth=0.3)
-    np.testing.assert_allclose(convolve_field_grid(k, u, 0, method="fft"),
-                               convolve_field_grid(k, u, 0, method="direct"),
+    np.testing.assert_allclose(convolve_field_grid(k, u, 0),
+                               _direct_grid(k, u, 0),
                                rtol=1e-8, atol=1e-12)
 
 
@@ -294,7 +319,7 @@ def test_convolve_field_grid_offset_matches_direct(family, shape, offset):
     k = KernelSpec(family, d, bandwidth=0.3)
     np.testing.assert_allclose(
         convolve_field_grid(k, u, 0, offset=offset),
-        convolve_field_grid(k, u, 0, method="direct", offset=offset),
+        _direct_grid(k, u, 0, offset),
         rtol=1e-8, atol=1e-12)
 
 
@@ -375,25 +400,29 @@ def _mixed_kernels(d):
             KernelSpec("constant", d, amplitude=0.7))
 
 
-@pytest.mark.parametrize("method", ["fft", "direct"])
+@pytest.mark.parametrize("reference", ["fft", "direct"])
 @pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("shape", [(64,), (20, 24)])
-def test_batched_grid_convolution_equals_pairwise(shape, shifted, method):
+def test_batched_grid_convolution_equals_pairwise(shape, shifted, reference):
     # M = 3 species, every kernel family in one call, species repeated and
-    # out of order, kernel objects used more than once
+    # out of order, kernel objects used more than once; the reference is
+    # pair-by-pair calls (bit for bit) or the direct oracle (to 1e-8)
     rng = np.random.default_rng(8)
     d = len(shape)
     u = GridField(-np.ones(d), np.ones(d), rng.random((3, *shape)), 0.0)
-    offset = 0.3 * u.spacing * (-1.0) ** np.arange(d) if shifted else None
+    offset = 0.3 * u.spacing * (-1.0) ** np.arange(d) * shifted
     g, b, t, c = _mixed_kernels(d)
     ks = [g, b, t, c, g, c, t, b, g]
     js = [0, 2, 1, 1, 2, 0, 0, 0, 0]
-    got = convolve_field_grid(ks, u, js, method=method, offset=offset)
+    got = convolve_field_grid(ks, u, js, offset=offset)
     assert got.shape == (len(ks),) + shape
     for p, (k, j) in enumerate(zip(ks, js)):
-        assert np.array_equal(
-            got[p], convolve_field_grid(k, u, j, method=method,
-                                        offset=offset)), p
+        if reference == "fft":
+            assert np.array_equal(
+                got[p], convolve_field_grid(k, u, j, offset=offset)), p
+        else:
+            np.testing.assert_allclose(got[p], _direct_grid(k, u, j, offset),
+                                       rtol=1e-8, atol=1e-12)
     # constant kernels give amplitude x mass
     assert np.all(got[3] == 0.7 * u.mass(1))
 
@@ -403,8 +432,7 @@ def test_batched_grid_convolution_fft_matches_direct():
     u = GridField([-1.0, -1.0], [1.0, 1.0], rng.random((2, 24, 24)), 0.0)
     ks, js = _mixed_kernels(2), [1, 0, 1, 0]
     np.testing.assert_allclose(convolve_field_grid(ks, u, js),
-                               convolve_field_grid(ks, u, js,
-                                                   method="direct"),
+                               [_direct_grid(k, u, j) for k, j in zip(ks, js)],
                                rtol=1e-8, atol=1e-12)
 
 
@@ -415,8 +443,6 @@ def test_batched_grid_convolution_rejects_bad_input():
         convolve_field_grid([g, g], u, [0])
     with pytest.raises(ValueError):
         convolve_field_grid([g, KernelSpec("gaussian", 2)], u, [0, 1])
-    with pytest.raises(ValueError):
-        convolve_field_grid([g], u, [0], method="spectral")
 
 
 def test_mollifier_identity_at_eps_one():

@@ -304,13 +304,13 @@ def test_from_grid_and_from_empirical():
     g = DiscreteMeasure.from_grid(u, 0)
     assert g.weights.sum() == pytest.approx(1.0)   # 2 cells * 2.0 * 0.25
     assert g.points.shape[0] == 2                  # zero cells dropped
-    nu = EmpiricalMeasure(np.array([[0.1], [0.9]]), K=4, species=0)
+    nu = EmpiricalMeasure(np.array([[0.1], [0.9]]), K=4)
     e = from_empirical(nu)
     assert e.weights.sum() == pytest.approx(0.5)
 
 
 def test_total_mass_atoms_over_k():
-    nu = EmpiricalMeasure(np.zeros((30, 1)), K=12, species=0)
+    nu = EmpiricalMeasure(np.zeros((30, 1)), K=12)
     assert from_empirical(nu).weights.sum() == pytest.approx(30 / 12)
 
 

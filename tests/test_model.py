@@ -120,6 +120,16 @@ def test_validate_reports_never_raises():
     assert not rep.passed
 
 
+def test_validate_fails_nan_coefficients():
+    # max(estimate, NaN) keeps the estimate; a NaN sigma must fail (i), (ii)
+    m = builtin_model("constant-coefficients", 1, 1)
+    m.sigma_fns = [lambda x, v: np.full((x.shape[0], 1, 1), np.nan)]
+    rep = validate(m, probe())
+    assert not rep.passed
+    assert [c.passed for c in rep.checks[:2]] == [False, False]
+    assert all(math.isnan(c.estimate) for c in rep.checks[:2])
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         builtin_model("no-such-family", 1, 1)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import yaml
 from scipy.integrate import solve_ivp
 
-from crossdiff import pde
+from crossdiff import cli, pde
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import KernelSpec, convolve_field_grid
@@ -489,6 +490,37 @@ def test_cfl_reaction_bound_raises():
     with pytest.raises(CFLError, match="reaction"):
         step(u0, m, dt=0.01)
     step(u0, m, dt=0.005)           # 0.5 <= 0.9
+
+
+def test_cfl_nan_rate_raises():
+    # NaN * dt > bound is False: a NaN rate must not pass as stable
+    m = builtin_model("constant-coefficients", 1, 1)
+    m.sigma_fns = [lambda x, v: np.full((x.shape[0], 1, 1), np.nan)]
+    with pytest.raises(CFLError, match=r"diffusive .* \(rate nan\)"):
+        step(gaussian_field(), m, dt=0.001)
+
+
+def test_cli_nan_diffusion_exits_numerical_and_fails_validation(tmp_path,
+                                                                capsys):
+    # psi_max < 0 makes sigma the root of a negative number, NaN wherever
+    # the density is positive
+    cfg = {"seed": 7,
+           "model": {"M": 1, "dim": 1, "family": "isotropic-saturating",
+                     "params": {"psi_max": -0.25},
+                     "kernels": {"G": {"family": "gaussian",
+                                       "bandwidth": 0.5}}},
+           "initial": [{"mass": 0.5, "kind": "gaussian", "std": 0.6}],
+           "pde": {"lo": -5.0, "hi": 5.0, "cells": 64, "dt": 0.002,
+                   "t_end": 0.1}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    args = ["--config", str(path), "--out", str(tmp_path / "o")]
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(["solve-pde"] + args) == cli.EXIT_NUMERIC
+    assert "(rate nan)" in capsys.readouterr().err
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(["validate"] + args) == cli.EXIT_CHECK
+    assert "[FAIL] (i)" in capsys.readouterr().out
 
 
 def test_cfl_diffusive_bound_is_named():
