@@ -101,21 +101,34 @@ def _check_values(cfg: dict):
 # ---------------------------------------------------------------------
 # kernel construction
 
-def _one_kernel(spec: dict, d: int, amplitude=None) -> KernelSpec:
-    _check_keys(spec, _KEYS["kernel"], "kernel")
+def _number(spec: dict, key: str, default: float, where: str) -> float:
+    """spec[key], default when absent, as a float; a value that float()
+    rejects, such as a list, is a ConfigError that names the key."""
+    value = spec.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number, "
+                          f"got {value!r}") from None
+
+
+def _one_kernel(spec: dict, d: int, where: str,
+                amplitude=None) -> KernelSpec:
+    _check_keys(spec, _KEYS["kernel"], where)
     fam = spec.get("family", "constant")
-    amp = float(amplitude if amplitude is not None
-                else spec.get("amplitude", 1.0))
+    amp = (float(amplitude) if amplitude is not None
+           else _number(spec, "amplitude", 1.0, where))
     if fam == "tabulated":
         if "path" not in spec:
             raise ConfigError("tabulated kernel needs a 'path' to a CSV table")
         return tabulated_from_csv(spec["path"], d, amplitude=amp)
-    return KernelSpec(fam, d, bandwidth=float(spec.get("bandwidth", 1.0)),
+    return KernelSpec(fam, d, bandwidth=_number(spec, "bandwidth", 1.0, where),
                       amplitude=amp)
 
 
-def _kernel_matrix(spec, M: int, d: int):
-    """One spec for all pairs; 'amplitudes' gives a per-pair M x M scale."""
+def _kernel_matrix(spec, M: int, d: int, where: str):
+    """One spec for all pairs; 'amplitudes' gives a per-pair M x M scale.
+    where names the spec in errors, e.g. model.kernels.G."""
     if spec is None:
         return None
     amps = spec.get("amplitudes") if isinstance(spec, dict) else None
@@ -123,10 +136,11 @@ def _kernel_matrix(spec, M: int, d: int):
         amps = np.asarray(amps, dtype=float)
         if amps.shape != (M, M):
             raise ConfigError(f"kernel amplitudes must be {M}x{M}")
-        return [[_one_kernel(spec, d, amplitude=amps[i, j]) if amps[i, j] != 0
-                 else _one_kernel({"family": "constant"}, d, amplitude=0.0)
+        return [[_one_kernel(spec, d, where, amplitude=amps[i, j])
+                 if amps[i, j] != 0 else
+                 _one_kernel({"family": "constant"}, d, where, amplitude=0.0)
                  for j in range(M)] for i in range(M)]
-    k = _one_kernel(spec, d)
+    k = _one_kernel(spec, d, where)
     return [[k for _ in range(M)] for _ in range(M)]
 
 
@@ -141,7 +155,7 @@ def mollified_C(cfg: dict, eps: float):
         "family", "gaussian")
     g_eps = mollifier(KernelSpec(fam, d), eps)     # checks gamma's family
     return _kernel_matrix({"family": fam, "bandwidth": g_eps.bandwidth,
-                           "amplitudes": comp}, M, d)
+                           "amplitudes": comp}, M, d, "model.comp")
 
 
 # ---------------------------------------------------------------------
@@ -169,9 +183,10 @@ def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
     # gamma, the mollifier base of the Dirac study, is read by mollified_C
     _check_keys(kcfg.get("gamma") or {}, _KEYS["gamma"],
                 "model.kernels.gamma")
-    G = _kernel_matrix(kcfg.get("G"), M, d)
-    H = _kernel_matrix(kcfg.get("H"), M, d)
-    C = C_kernels if C_kernels is not None else _kernel_matrix(kcfg.get("C"), M, d)
+    G = _kernel_matrix(kcfg.get("G"), M, d, "model.kernels.G")
+    H = _kernel_matrix(kcfg.get("H"), M, d, "model.kernels.H")
+    C = C_kernels if C_kernels is not None else _kernel_matrix(
+        kcfg.get("C"), M, d, "model.kernels.C")
     comp = mcfg.get("comp")
     comp = None if comp is None else np.asarray(comp, dtype=float)
 

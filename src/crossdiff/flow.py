@@ -33,8 +33,10 @@ The convolutions k * u^j of the smooth kernels are tabulated once per
 snapshot on a lattice over the padded box (FFT grid convolutions with
 cached kernel spectra) and read back through C^2 cubic splines, so the
 nested differences of the inverse flow stay meaningful; in time they blend
-linearly between snapshots, which is exact because convolution is linear,
-and a read evaluates both blended snapshots in one spline call.
+linearly between snapshots, which is exact because convolution is linear.
+A 1-d table holds its splines in pp form, so a read finds each point's
+interval by arithmetic on the uniform lattice and applies Horner's rule to
+the blended coefficients; a 2-d table reads one spline per snapshot.
 """
 
 from __future__ import annotations
@@ -89,8 +91,14 @@ class ConvolutionTable:
     PDE cell splits into r sub-cells per axis, with r chosen so that the
     lattice step is at most TABLE_STEP * bandwidth; every sub-cell offset
     is one FFT grid convolution of the zero-padded field, with its batch
-    plan cached across snapshots.  In 1-d one make_interp_spline holds
-    a column per snapshot; in 2-d each snapshot has a RectBivariateSpline.
+    plan cached across snapshots.
+
+    In 1-d the not-a-knot make_interp_spline of the snapshots is stored
+    in pp form, and a read finds each point's interval by cell index on
+    the uniform lattice instead of the library's interval search (0.15
+    against 1.2-1.7 ms for the `flow` workload's 12,800 points).  In 2-d
+    each snapshot keeps a RectBivariateSpline: a tensor-product pp form
+    needs 16 coefficients per node.
     """
 
     def __init__(self, k: KernelSpec, fields: list, j: int, r, pad):
@@ -114,10 +122,20 @@ class ConvolutionTable:
                 values[(s,) + nodes] = convolve_field_grid(k, u, 0,
                                                            offset=offset)
         if g.dim == 1:
-            # one column per snapshot, with the same coefficients as one
-            # spline per snapshot
-            self.spline = make_interp_spline(self.axes[0], values, k=3,
-                                             axis=1)
+            # the not-a-knot spline's distinct knots are its breakpoints:
+            # every lattice node but the second and the second-to-last, so
+            # the two end intervals are twice as wide as the uniform
+            # interior ones
+            spline = make_interp_spline(self.axes[0], values, k=3, axis=1)
+            self.brk = spline.t[3:-3]
+            inner = np.diff(self.brk[1:-1])
+            self.step = float(inner.mean())
+            if not np.allclose(inner, self.step, rtol=1e-9, atol=0.0):
+                raise ValueError("1-d table needs uniform interior "
+                                 "breakpoints")
+            # pp form: coef[3 - m, s, i] = S_s^(m)(brk_i) / m!
+            self.coef = np.stack([spline(self.brk[:-1], nu=m)
+                                  / math.factorial(m) for m in (3, 2, 1, 0)])
         else:
             self.splines = [RectBivariateSpline(*self.axes, v, kx=3, ky=3,
                                                 s=0) for v in values]
@@ -129,17 +147,22 @@ class ConvolutionTable:
 
     def __call__(self, weights: list, X: np.ndarray) -> np.ndarray:
         """sum_s w_s (k * u^s)(X) over the (snapshot, weight) pairs of a
-        time blend; in 1-d its adjacent columns are read in one call."""
-        out = np.zeros(X.shape[0])
+        time blend, for points the lattice covers; in 1-d the blend is of
+        the pp coefficients, read by cell index and Horner's rule."""
         if X.shape[1] == 1:
-            sp, first = self.spline, weights[0][0]
-            cols = type(sp).construct_fast(
-                sp.t, sp.c[:, first:first + len(weights)], sp.k)(X[:, 0])
-            for c, (_, w) in enumerate(weights):
-                out += w * cols[:, c]
-        else:
-            for s, w in weights:
-                out += w * self.splines[s].ev(X[:, 0], X[:, 1])
+            x = X[:, 0]
+            c = sum(w * self.coef[:, s] for s, w in weights)
+            # the clip folds the double-width end intervals into the first
+            # and last; a point within rounding of a breakpoint may take
+            # the neighbouring piece, which matches it there to rounding
+            i = np.floor((x - self.brk[1]) / self.step).astype(np.intp) + 1
+            np.clip(i, 0, c.shape[1] - 1, out=i)
+            dx = x - self.brk[i]
+            c = np.take(c, i, axis=1)
+            return ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
+        out = np.zeros(X.shape[0])
+        for s, w in weights:
+            out += w * self.splines[s].ev(X[:, 0], X[:, 1])
         return out
 
 
@@ -214,12 +237,13 @@ class FrozenCoefficients:
         table = self.tables.get((k, j))
         if table is None:
             return convolve_field(k, self._field_at(t), j, X)
+        weights = self._time_weights(t)
         inside = table.inside(X)
-        out = np.zeros(X.shape[0])
-        out[inside] = table(self._time_weights(t), X[inside])
-        if not inside.all():
-            out[~inside] = convolve_field(k, self._field_at(t), j,
-                                          X[~inside])
+        if inside.all():
+            return table(weights, X)
+        out = np.empty(X.shape[0])
+        out[inside] = table(weights, X[inside])
+        out[~inside] = convolve_field(k, self._field_at(t), j, X[~inside])
         return out
 
     def _v_args(self, kmat, i: int, t: float, X: np.ndarray) -> np.ndarray:

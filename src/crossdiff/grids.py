@@ -6,6 +6,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def points(x, d: int) -> np.ndarray:
+    """x as an (n, d) float array of points in R^d.  Any other shape raises
+    ValueError, so a flat array of n points is never read as one point in
+    R^n."""
+    xq = np.asarray(x, dtype=float)
+    if xq.ndim != 2 or xq.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) array of query points")
+    return xq
+
+
 @dataclass
 class GridField:
     """Per-species densities on a uniform box grid.
@@ -87,7 +97,7 @@ class GridField:
 
         Values outside the box are clamped to the boundary cell.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = points(x, self.dim)
         h = self.spacing
         # fractional index relative to cell centers
         f = (x - self.lo[None, :]) / h[None, :] - 0.5

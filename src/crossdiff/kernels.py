@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft
 
-from .grids import GridField
+from .grids import GridField, points
 
 FAMILIES = ("gaussian", "compact-bump", "constant", "tabulated")
 
@@ -220,14 +220,6 @@ class EmpiricalMeasure:
         return self.n_atoms / self.K
 
 
-def _queries(k: KernelSpec, x) -> np.ndarray:
-    """x as an (n, d) float array of query points in the kernel's R^d."""
-    xq = np.asarray(x, dtype=float)
-    if xq.ndim != 2 or xq.shape[1] != k.dim:
-        raise ValueError(f"expected an (n, {k.dim}) array of query points")
-    return xq
-
-
 def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x) -> np.ndarray:
     """(k * nu)(x) = (1/K) sum_n k(x - x_n) at an (n, d) batch of points,
     exact to roundoff; empty measures give 0.
@@ -235,7 +227,7 @@ def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x) -> np.ndarray:
     grid nodes x (N + Q), is below the N x Q of the direct sum (weighted by
     GRIDDING_PAIR_COST in 2-d); every other case is the direct sum.
     """
-    xq = _queries(k, x)
+    xq = points(x, k.dim)
     if nu.n_atoms == 0:
         return np.zeros(xq.shape[0])
     if k.family == "constant":
@@ -335,7 +327,7 @@ def convolve_field(k: KernelSpec, u: GridField, species: int,
     """Midpoint-rule quadrature of int k(x - y) u(y) dy at (n, d) points."""
     if k.dim != u.dim:
         raise ValueError("kernel and field dimensions differ")
-    xq = _queries(k, x)
+    xq = points(x, k.dim)
     if k.family == "constant":
         return np.full(xq.shape[0], k.amplitude * u.mass(species))
     centers = u.centers()

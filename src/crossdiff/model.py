@@ -18,14 +18,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .grids import points
 from .kernels import KernelSpec
 
 SQRT2 = math.sqrt(2.0)
 
 
 def _eval(fn, name: str, x, v, shape: tuple) -> np.ndarray:
-    """fn(x, v) for finite positions x, reshaped to (n, *shape)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """fn(x, v) for finite positions x, (n, d) with d = shape[0], reshaped
+    to (n, *shape)."""
+    x = points(x, shape[0])
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite position passed to {name}")
     # convolutions are nonnegative in exact arithmetic; tiny negative grid
@@ -78,7 +80,7 @@ class CoefficientModel:
         return _eval(self.drift_fns[i], "drift", x, v, (self.d,))
 
     def eval_growth(self, i: int, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = points(x, self.d)
         return np.asarray(self.growth_fns[i](x), dtype=float).reshape(x.shape[0])
 
 

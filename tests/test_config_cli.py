@@ -238,6 +238,19 @@ def test_cli_usage_error_on_bad_config(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("C", "amplitude", [[1, 0.5], [0.5, 1]]), ("G", "bandwidth", [0.5])])
+def test_cli_usage_error_on_non_numeric_kernel_value(tmp_path, capsys, name,
+                                                     key, value):
+    cfg = base_cfg()
+    cfg["model"]["kernels"][name][key] = value
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["solve-pde", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    assert f"model.kernels.{name}.{key} must be a number" in \
+        capsys.readouterr().err
+
+
 def test_cli_usage_error_on_missing_file(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE

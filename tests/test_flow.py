@@ -456,9 +456,12 @@ def test_from_pde_gaussian_G_determinant_routes_agree():
 
 @pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2)])
 def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
-    # three snapshots, so a blend may start at a later column
+    # three snapshots, so a blend may start at a later column; in 2-d the
+    # reads are those of the per-snapshot splines bit for bit, in 1-d the
+    # pp form differs from a per-snapshot spline read by rounding only.
+    # The wide field keeps k * u far from 0 in the lattice's end intervals.
     import scipy.interpolate as si
-    m, sol = _table_case("gaussian", cells, dim, 0.6)
+    m, sol = _table_case("gaussian", cells, dim, "wide")
     a, b = sol.snapshots
     fields = [a, b, GridField(a.lo, a.hi, 0.5 * (a.values + b.values))]
     k = m.C[0][0]
@@ -474,8 +477,13 @@ def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
     if dim == 1:
         (x, values), = built
         per = [make(x, v, k=3) for v in values]
-        for s, spline in enumerate(per):
-            assert np.array_equal(table.spline.c[:, s], spline.c)
+        tol = 1e-14 * np.max(np.abs(values))
+        # random points, every breakpoint, the two double-width end
+        # intervals [x0, x2] and [x_-3, x_-1], and both lattice ends
+        X = np.concatenate([rng.uniform(x[0], x[-1], 300), per[0].t[3:-3],
+                            rng.uniform(x[0], x[2], 50),
+                            rng.uniform(x[-3], x[-1], 50),
+                            x[[0, -1]]])[:, None]
 
         def read(s):
             return per[s](X[:, 0])
@@ -487,4 +495,21 @@ def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
         ref = np.zeros(X.shape[0])
         for s, w in weights:
             ref += w * read(s)
-        assert np.array_equal(table(weights, X), ref)
+        if dim == 1:
+            np.testing.assert_allclose(table(weights, X), ref, rtol=0,
+                                       atol=tol)
+        else:
+            assert np.array_equal(table(weights, X), ref)
+
+
+def test_table_rejects_nonuniform_lattice(monkeypatch):
+    # the 1-d read finds a point's interval by arithmetic on the step
+    import scipy.interpolate as si
+    m, sol = _table_case("gaussian", 128, 1, 0.6)
+    fields = list(sol.snapshots)
+    k = m.C[0][0]
+    make = si.make_interp_spline
+    monkeypatch.setattr(si, "make_interp_spline",
+                        lambda x, y, **kw: make(x + 1e-3 * x ** 2, y, **kw))
+    with pytest.raises(ValueError, match="uniform"):
+        ConvolutionTable(k, fields, 0, *_lattice(k, fields))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossdiff.grids import GridField
 from crossdiff.kernels import KernelSpec
 from crossdiff.model import (CoefficientModel, ProbeSpec, builtin_model,
                              bump_growth, diffusion_matrix, validate)
@@ -22,6 +23,24 @@ def test_constant_family_shapes():
     assert s.shape == (4, 1, 1)
     np.testing.assert_allclose(s[:, 0, 0], 0.5)
     np.testing.assert_allclose(m.eval_growth(1, x), 2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_point_evaluations_reject_a_flat_query(dim):
+    # as for the point convolutions: in 1-d five points are not one point
+    # in R^5, and in 2-d a single d-vector is not a batch of points
+    m = builtin_model("constant-coefficients", 1, dim, sigma0=0.5, r=[1.0])
+    u = GridField(-np.ones(dim), np.ones(dim), np.ones((1,) + (8,) * dim))
+    flat = np.linspace(-0.5, 0.5, 5) if dim == 1 else np.array([0.1, 0.2])
+    good = flat.reshape(-1, dim)
+    v = np.zeros((len(good), 1))
+    calls = (lambda x: u.interpolate(0, x), lambda x: m.eval_growth(0, x),
+             lambda x: m.eval_sigma(0, x, v), lambda x: m.eval_drift(0, x, v))
+    for call in calls:
+        for bad in (flat, flat[None, :, None], np.zeros((4, dim + 1))):
+            with pytest.raises(ValueError, match="array of query points"):
+                call(bad)
+        assert len(call(good)) == len(good)
 
 
 def test_diffusion_factor_convention():
