@@ -22,8 +22,9 @@ import time
 import numpy as np
 
 from . import ibm, io, pde, studies
-from .config import (ConfigError, build_initial, build_model, grid_box,
-                     load_config, probe_spec, sim_params, solver_params)
+from .config import (ConfigError, _number, build_initial, build_model,
+                     grid_box, load_config, probe_spec, sim_params,
+                     solver_params)
 from .flow import FlowError, compose_inverse_forward, inverse_flow
 from .ibm import SimulationError
 from .initial import project_to_grid
@@ -120,7 +121,7 @@ def _flow(cfg, seed, out, args):
     model = build_model(cfg)
     u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     fcfg = cfg.get("flow") or {}
-    n_paths = int(fcfg.get("n_paths", 100))
+    n_paths = _number(fcfg, "n_paths", 100, "flow", int)
     if n_paths < 1:
         raise ConfigError(f"flow.n_paths must be at least 1, got {n_paths}")
     i = studies.flow_species(fcfg, model.M)

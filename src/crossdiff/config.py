@@ -60,6 +60,17 @@ def _check_keys(obj: dict, allowed: set, where: str):
                           f"(allowed: {sorted(allowed)})")
 
 
+def _number(spec: dict, key: str, default, where: str, kind=float):
+    """spec[key], default when absent, as kind (float or int); a value that
+    kind() rejects, such as a list, is a ConfigError that names the key."""
+    value = spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number, "
+                          f"got {value!r}") from None
+
+
 def load_config(path: str) -> dict:
     with open(path) as f:
         cfg = yaml.safe_load(f)
@@ -100,17 +111,6 @@ def _check_values(cfg: dict):
 
 # ---------------------------------------------------------------------
 # kernel construction
-
-def _number(spec: dict, key: str, default: float, where: str) -> float:
-    """spec[key], default when absent, as a float; a value that float()
-    rejects, such as a list, is a ConfigError that names the key."""
-    value = spec.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a number, "
-                          f"got {value!r}") from None
-
 
 def _one_kernel(spec: dict, d: int, where: str,
                 amplitude=None) -> KernelSpec:
@@ -233,16 +233,18 @@ def _required(cfg: dict, section: str, *keys) -> dict:
 
 def sim_params(cfg: dict, K: int, seed: int) -> SimParams:
     icfg = _required(cfg, "ibm", "t_end", "dt")
-    return SimParams(t_end=float(icfg["t_end"]), dt=float(icfg["dt"]),
+    return SimParams(t_end=_number(icfg, "t_end", None, "ibm"),
+                     dt=_number(icfg, "dt", None, "ibm"),
                      K=int(K), scheme=icfg.get("scheme", "splitting"),
                      seed=int(seed),
                      snapshot_times=tuple(icfg.get("snapshot_times") or ()),
-                     ceiling=int(icfg.get("ceiling", 1_000_000)))
+                     ceiling=_number(icfg, "ceiling", 1_000_000, "ibm", int))
 
 
 def solver_params(cfg: dict, mode=None) -> SolverParams:
     pcfg = _required(cfg, "pde", "dt", "t_end")
-    return SolverParams(dt=float(pcfg["dt"]), t_end=float(pcfg["t_end"]),
+    return SolverParams(dt=_number(pcfg, "dt", None, "pde"),
+                        t_end=_number(pcfg, "t_end", None, "pde"),
                         mode=mode or pcfg.get("mode", "kernel"),
                         snapshot_times=tuple(pcfg.get("snapshot_times") or ()))
 

@@ -5,10 +5,14 @@ Each particle of species i diffuses by the Euler-Maruyama step
     X <- X + b^i(X, H*nu) dt + noise_scale * sigma^i(X, G*nu) sqrt(dt) xi
 
 with the convolutions frozen at the step-start configuration, reproduces
-clonally at rate r_i(X) and dies at rate sum_j C^ij * nu^j(X).  Two schemes
-are provided: operator splitting (diffusion then demography per step) and
-exact event thinning, which serves as the unbiased reference for the
-splitting bias.
+clonally at rate r_i(X) and dies at rate sum_j C^ij * nu^j(X).  Both
+schemes walk one grid of steps dt, and snapshot times must lie on it:
+operator splitting runs a diffusion step and then a demography step, and
+exact event thinning runs a per-step exact-event step (step_events), which
+serves as the unbiased reference for the splitting bias.  Step k of the
+splitting scheme draws from the DIFFUSE and DEMOGRAPHY streams of k, and
+step k of the thinned scheme from the one EVENT stream of k, so extra
+snapshots never change a trajectory.
 """
 
 from __future__ import annotations
@@ -130,8 +134,8 @@ def _row_fields(kmat, measures: list, i: int, x: np.ndarray) -> np.ndarray:
 def step_diffuse(state: PopulationState, model: CoefficientModel, dt: float,
                  rng: np.random.Generator) -> PopulationState:
     """Euler-Maruyama move of every particle, coefficients frozen at start."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
     measures = [state.measure(j) for j in range(model.M)]
     new_species = []
     for i in range(model.M):
@@ -192,109 +196,62 @@ def step_demography(state: PopulationState, model: CoefficientModel,
     return PopulationState(new_species, state.K, state.t, next_id)
 
 
-# ---------------------------------------------------------------------
-
-def _simulate_splitting(model, state, params):
-    n_steps = int(round(params.t_end / params.dt))
-    snap_steps = snapshot_steps(params.snapshot_times, params.dt)
-    snapshots = []
-    if 0 in snap_steps:
-        snapshots.append((0.0, state.copy()))
-    for k in range(n_steps):
-        state = step_diffuse(state, model, params.dt,
-                             rngs.stream(params.seed, k, rngs.DIFFUSE))
-        state = step_demography(state, model, params.dt,
-                                rngs.stream(params.seed, k, rngs.DEMOGRAPHY))
-        if int(state.counts().sum()) > params.ceiling:
-            raise SimulationError("population exceeded the configured ceiling")
-        if k + 1 in snap_steps:
-            snapshots.append((snap_steps[k + 1], state.copy()))
-    return snapshots, state
-
-
 def _total_rate_bound(model: CoefficientModel, state: PopulationState):
+    """(total, per-particle) bound on the event rates r + d of a state.
+
+    d = sum_j (C^ij * nu^j)(x) <= sup_c sum_j m_j, so the per-particle
+    bound is max rbar + sup_c * total mass."""
     counts = state.counts()
-    total_mass = counts.sum() / state.K
-    sup_c = 0.0
-    if model.C is not None:
-        sup_c = max(model.C[i][j].sup_bound
-                    for i in range(model.M) for j in range(model.M))
-    per_particle = max(model.growth_bounds) + model.M * sup_c * total_mass
+    sup_c = 0.0 if model.C is None else max(
+        k.sup_bound for row in model.C for k in row)
+    per_particle = max(model.growth_bounds) + sup_c * counts.sum() / state.K
     return counts.sum() * per_particle, per_particle
 
 
-def _diffuse_interval(model, state, tau, dt, seed, counter):
-    """Diffuse all particles over an interval with Euler substeps <= dt."""
-    remaining = tau
-    sub = 0
-    while remaining > 1e-15:
-        h = min(dt, remaining)
-        state = step_diffuse(state, model, h,
-                             rngs.stream(seed, *counter, sub, rngs.DIFFUSE))
-        remaining -= h
-        sub += 1
-    return state
+def step_events(state: PopulationState, model: CoefficientModel, dt: float,
+                rng: np.random.Generator) -> PopulationState:
+    """One step of exact event thinning (Lewis & Shedler 1979).
 
-
-def _simulate_thinned(model, state, params):
-    snapshots = []
-    snap_iter = list(params.snapshot_times)
-    if snap_iter and snap_iter[0] == 0.0:
-        snapshots.append((0.0, state.copy()))
-        snap_iter.pop(0)
-    event_counter = 0
-    t = 0.0
+    A Poisson clock at the total rate bound proposes events; the particles
+    diffuse to each proposal, one of them is picked uniformly and accepted
+    as a birth or death with probability r / bound or d / bound at its true
+    rates.  The exponential clock is memoryless, so restarting it at the
+    step end is exact.  One rng feeds the clock, the picks and the moves.
+    """
+    left = dt
     while True:
         lam_total, per_particle = _total_rate_bound(model, state)
-        g = rngs.stream(params.seed, event_counter, rngs.EVENT)
-        tau = g.exponential(1.0 / lam_total) if lam_total > 0 else math.inf
-        target = t + tau
-        # cross pending snapshot times first
-        while snap_iter and snap_iter[0] <= target + 1e-15:
-            t_snap = snap_iter.pop(0)
-            state = _diffuse_interval(model, state, t_snap - t, params.dt,
-                                      params.seed, (event_counter, 1))
-            t = t_snap
-            snapshots.append((t, state.copy()))
-        if target > params.t_end:
-            break
-        state = _diffuse_interval(model, state, target - t, params.dt,
-                                  params.seed, (event_counter, 2))
-        t = target
-        state.t = t
-        # a positive total rate bound means at least one particle: pick one
-        # uniformly and accept or reject by its true rates
+        tau = rng.exponential(1.0 / lam_total) if lam_total > 0 else math.inf
+        if tau >= left:
+            return step_diffuse(state, model, left, rng)
+        state = step_diffuse(state, model, tau, rng)
+        left -= tau
+        # a positive total rate bound means at least one particle
         counts = state.counts()
-        n_total = int(counts.sum())
-        pick = int(g.integers(0, n_total))
+        pick = int(rng.integers(0, counts.sum()))
         i = int(np.searchsorted(np.cumsum(counts), pick, side="right"))
         local = pick - int(np.sum(counts[:i]))
         x = state.species[i].positions[local:local + 1]
-        theta = g.uniform(0.0, per_particle)
+        theta = rng.uniform(0.0, per_particle)
         r_val = float(model.eval_growth(i, x)[0])
         d_val = 0.0 if model.C is None else float(sum(_row_fields(
             model.C, [state.measure(j) for j in range(model.M)], i, x).T)[0])
         if r_val + d_val > per_particle * (1.0 + 1e-12):
             raise SimulationError(
-                f"species {i} rate r + d = {r_val + d_val:g} at t={t:g} "
-                f"exceeds the thinning bound {per_particle:g}; raise the "
-                f"declared rbar")
+                f"species {i} rate r + d = {r_val + d_val:g} at "
+                f"t={state.t:g} exceeds the thinning bound "
+                f"{per_particle:g}; raise the declared rbar")
+        sp = state.species[i]
         if theta < r_val:
-            sp = state.species[i]
             sp.positions = np.vstack([sp.positions, x])
             sp.ids = np.append(sp.ids, state.next_id[i])
             state.next_id[i] += 1
         elif theta < r_val + d_val:
-            sp = state.species[i]
-            keep = np.ones(sp.positions.shape[0], dtype=bool)
-            keep[local] = False
-            sp.positions = sp.positions[keep]
-            sp.ids = sp.ids[keep]
-        if int(state.counts().sum()) > params.ceiling:
-            raise SimulationError("population exceeded the configured ceiling")
-        event_counter += 1
-    return snapshots, state
+            keep = np.arange(sp.ids.size) != local
+            sp.positions, sp.ids = sp.positions[keep], sp.ids[keep]
 
+
+# ---------------------------------------------------------------------
 
 def simulate(model: CoefficientModel, init_specs: list,
              params: SimParams) -> Trajectory:
@@ -305,9 +262,22 @@ def simulate(model: CoefficientModel, init_specs: list,
     state = sample_initial(init_specs, params.K,
                            rngs.stream(params.seed, rngs.INIT))
     counts, next_id = state.counts(), state.next_id.copy()
-    run = _simulate_splitting if params.scheme == "splitting" \
-        else _simulate_thinned
-    snaps, last = run(model, state, params)
-    births = last.next_id - next_id
-    return Trajectory(snaps, births, counts + births - last.counts(), params,
-                      rngs.describe(params.seed))
+    snap_steps = snapshot_steps(params.snapshot_times, params.dt)
+    snapshots = [(0.0, state.copy())] if 0 in snap_steps else []
+    for k in range(int(round(params.t_end / params.dt))):
+        if params.scheme == "splitting":
+            state = step_diffuse(state, model, params.dt,
+                                 rngs.stream(params.seed, k, rngs.DIFFUSE))
+            state = step_demography(
+                state, model, params.dt,
+                rngs.stream(params.seed, k, rngs.DEMOGRAPHY))
+        else:
+            state = step_events(state, model, params.dt,
+                                rngs.stream(params.seed, k, rngs.EVENT))
+        if int(state.counts().sum()) > params.ceiling:
+            raise SimulationError("population exceeded the configured ceiling")
+        if k + 1 in snap_steps:
+            snapshots.append((snap_steps[k + 1], state.copy()))
+    births = state.next_id - next_id
+    return Trajectory(snapshots, births, counts + births - state.counts(),
+                      params, rngs.describe(params.seed))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ibm, io, pde
-from .config import (ConfigError, build_initial, build_model, grid_box,
-                     mollified_C, sim_params, solver_params)
+from .config import (ConfigError, _number, build_initial, build_model,
+                     grid_box, mollified_C, sim_params, solver_params)
 from .flow import FrozenCoefficients, density_estimate, feynman_kac_functional
 from .grids import GridField
 from .initial import project_to_grid
@@ -235,8 +235,8 @@ def frozen_flow(cfg: dict, model, u0):
     """
     fcfg = cfg.get("flow") or {}
     sp = solver_params(cfg)
-    t_cfg = float(fcfg.get("t", sp.t_end))
-    dt = float(fcfg.get("dt", 1e-3))
+    t_cfg = _number(fcfg, "t", sp.t_end, "flow")
+    dt = _number(fcfg, "dt", 1e-3, "flow")
     if not dt > 0.0:
         raise ConfigError(f"flow.dt must be positive, got {dt:g}")
     t = round(t_cfg / sp.dt) * sp.dt
@@ -280,7 +280,7 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     model = build_model(cfg)
     init = build_initial(cfg)
     u0 = project_to_grid(init, *grid_box(cfg))
-    n_paths = int(fcfg.get("n_paths", 200))
+    n_paths = _number(fcfg, "n_paths", 200, "flow", int)
     if n_paths < 2:
         # the verdict compares against sample standard errors
         raise ConfigError(f"flow.n_paths must be at least 2, got {n_paths}")

@@ -251,6 +251,25 @@ def test_cli_usage_error_on_non_numeric_kernel_value(tmp_path, capsys, name,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb,section,key", [
+    ("simulate-ibm", "ibm", "t_end"), ("simulate-ibm", "ibm", "dt"),
+    ("simulate-ibm", "ibm", "ceiling"), ("solve-pde", "pde", "dt"),
+    ("solve-pde", "pde", "t_end"), ("flow", "flow", "t"),
+    ("flow", "flow", "dt"), ("flow", "flow", "n_paths"),
+    ("study-flow", "flow", "n_paths"),
+])
+def test_cli_usage_error_on_non_numeric_run_value(tmp_path, capsys, verb,
+                                                  section, key):
+    cfg = study_cfg("study-flow")
+    cfg[section][key] = [5]
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([verb, "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{section}.{key} must be a number" in err
+    assert "Traceback" not in err
+
+
 def test_cli_usage_error_on_missing_file(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE

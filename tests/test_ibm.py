@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from crossdiff.config import build_model
 from crossdiff.ibm import (PopulationState, SimParams, SimulationError,
-                           SpeciesState, _row_fields, sample_initial,
-                           simulate, step_demography, step_diffuse)
+                           SpeciesState, _row_fields, _total_rate_bound,
+                           sample_initial, simulate, step_demography,
+                           step_diffuse)
 from crossdiff.initial import InitialCondition
 from crossdiff.kernels import KernelSpec
 from crossdiff.model import builtin_model
@@ -179,6 +180,29 @@ def test_thinned_rates_at_their_bound_run():
         assert traj.births[0] > 0
 
 
+def test_thinning_bound_is_max_rbar_plus_sup_c_times_mass():
+    # d^i(x) = sum_j (C^ij * nu^j)(x) <= sup_c * total mass for every i, with
+    # equality when every C^ij is the constant sup_c
+    pos = [np.array([[0.0], [1.0], [-1.0]]), np.array([[0.5], [2.0]])]
+    st = PopulationState([SpeciesState(p, np.arange(len(p))) for p in pos],
+                         K=10)
+    amps = ((1.0, 0.2), (1.5, 0.4))
+    for C in ([[KernelSpec("constant", 1, amplitude=a) for a in row]
+               for row in amps], const_kernels(2, 1, amp=1.5)):
+        m = builtin_model("constant-coefficients", 2, 1, sigma0=0.2,
+                          r=[0.5, 0.3], rbar=[0.5, 0.3], C=C)
+        total, per_particle = _total_rate_bound(m, st)
+        assert per_particle == pytest.approx(0.5 + 1.5 * 0.5, rel=1e-15)
+        assert total == pytest.approx(5 * per_particle, rel=1e-15)
+        measures = [st.measure(j) for j in range(2)]
+        for i in range(2):
+            rate = m.eval_growth(i, pos[i]) + _row_fields(
+                C, measures, i, pos[i]).sum(axis=1)
+            assert np.all(rate <= per_particle * (1 + 1e-12))
+    # the constant C sits on the death share of the bound
+    assert rate.max() == pytest.approx(0.3 + 1.5 * 0.5, rel=1e-12)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 31), st.floats(1.0, 4.0), st.floats(1.0, 4.0),
        st.sampled_from(["splitting", "thinned-events"]))
@@ -235,20 +259,44 @@ def test_births_and_deaths_balance_the_counts(scheme):
             assert traj.deaths[i] >= len(seen) - n1
 
 
-def test_snapshot_off_grid_rejected():
+@pytest.mark.parametrize("scheme", ["splitting", "thinned-events"])
+def test_extra_snapshots_leave_the_final_state_unchanged(scheme):
+    # every step draws from streams keyed by its index on the step grid,
+    # so where the snapshots fall cannot change the trajectory
+    m = builtin_model("constant-coefficients", 1, 1, sigma0=0.3, r=0.5,
+                      rbar=0.5, C=const_kernels(1, 1, amp=0.5))
+    init = [InitialCondition(1.0, "gaussian")]
+    finals = []
+    for snaps in ((1.0,), (0.5, 1.0), tuple(np.arange(11) * 0.1)):
+        traj = simulate(m, init, SimParams(t_end=1.0, dt=0.1, K=50, seed=3,
+                                           scheme=scheme,
+                                           snapshot_times=snaps))
+        last = traj.snapshots[-1][1].species[0]
+        finals.append((last.positions, last.ids, traj.births, traj.deaths))
+    assert finals[0][2][0] > 0 and finals[0][3][0] > 0
+    for other in finals[1:]:
+        for a, b in zip(finals[0], other):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["splitting", "thinned-events"])
+def test_snapshot_off_grid_rejected(scheme):
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.2)
     init = [InitialCondition(0.5, "gaussian")]
-    p = SimParams(t_end=1.0, dt=0.1, K=10, seed=0, snapshot_times=(0.333,))
+    p = SimParams(t_end=1.0, dt=0.1, K=10, seed=0, snapshot_times=(0.333,),
+                  scheme=scheme)
     with pytest.raises(ValueError, match="not on the step grid"):
         simulate(m, init, p)
 
 
-def test_population_ceiling_guard():
+@pytest.mark.parametrize("scheme", ["splitting", "thinned-events"])
+def test_population_ceiling_guard(scheme):
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.1, r=5.0,
                       rbar=5.0)
     init = [InitialCondition(2.0, "gaussian")]
-    p = SimParams(t_end=4.0, dt=0.05, K=100, seed=0, ceiling=300)
-    with pytest.raises(SimulationError):
+    p = SimParams(t_end=4.0, dt=0.05, K=100, seed=0, ceiling=300,
+                  scheme=scheme)
+    with pytest.raises(SimulationError, match="ceiling"):
         simulate(m, init, p)
 
 
