@@ -164,13 +164,13 @@ def mollified_C(cfg: dict, eps: float):
 def _growth_fn(spec):
     _check_keys(spec, _KEYS["growth"], "model.growth")
     kind = spec.get("kind", "constant")
+    num = lambda key, default: _number(spec, key, default, "model.growth")
     if kind == "constant":
-        return constant_growth(float(spec["rate"])), float(spec["rate"])
+        rate = num("rate", None)
+        return constant_growth(rate), rate
     if kind == "bump":
-        base = float(spec.get("base", 0.0))
-        amp = float(spec.get("amp", 1.0))
-        fn = bump_growth(base, amp, float(spec.get("center", 0.0)),
-                         float(spec.get("width", 1.0)))
+        base, amp = num("base", 0.0), num("amp", 1.0)
+        fn = bump_growth(base, amp, num("center", 0.0), num("width", 1.0))
         return fn, base + max(amp, 0.0)
     raise ConfigError(f"unknown growth kind {kind!r}")
 
@@ -215,8 +215,11 @@ def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
 def build_initial(cfg: dict) -> list:
     d = int(cfg["model"].get("dim", 1))
     out = []
-    for entry in cfg["initial"]:
+    for n, entry in enumerate(cfg["initial"]):
         kw = dict(entry)
+        for key in ("mass", "std", "halfwidth"):
+            if key in kw or key == "mass":    # mass has no default
+                kw[key] = _number(entry, key, None, f"initial[{n}]")
         out.append(InitialCondition(dim=d, **kw))
     return out
 
@@ -261,10 +264,10 @@ def grid_box(cfg: dict):
 
 def probe_spec(cfg: dict, seed: int) -> ProbeSpec:
     vcfg = cfg.get("validate") or {}
-    d = int(cfg["model"].get(
-        "dim", 1))
+    d = int(cfg["model"].get("dim", 1))
     lo = np.broadcast_to(np.asarray(vcfg.get("lo", -5.0), float), (d,)).copy()
     hi = np.broadcast_to(np.asarray(vcfg.get("hi", 5.0), float), (d,)).copy()
-    return ProbeSpec(lo, hi, v_max=float(vcfg.get("v_max", 2.0)),
-                     v_min=float(vcfg.get("v_min", 0.0)),
-                     n=int(vcfg.get("n", 512)), seed=int(seed))
+    return ProbeSpec(lo, hi, v_max=_number(vcfg, "v_max", 2.0, "validate"),
+                     v_min=_number(vcfg, "v_min", 0.0, "validate"),
+                     n=_number(vcfg, "n", 512, "validate", int),
+                     seed=int(seed))

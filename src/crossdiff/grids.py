@@ -16,6 +16,16 @@ def points(x, d: int) -> np.ndarray:
     return xq
 
 
+def pair_r2(xq: np.ndarray, atoms: np.ndarray, chunk: int):
+    """Yield (start, stop, squared distances from xq[start:stop] to every
+    atom) in row blocks of about chunk pairs, which bound their memory."""
+    block = max(1, chunk // max(1, atoms.shape[0]))
+    for start in range(0, xq.shape[0], block):
+        diff = xq[start:start + block, None, :] - atoms[None, :, :]
+        yield (start, min(start + block, xq.shape[0]),
+               np.einsum("qnk,qnk->qn", diff, diff))
+
+
 @dataclass
 class GridField:
     """Per-species densities on a uniform box grid.

@@ -12,14 +12,16 @@ that of the direct sum; every other case is the direct sum, which is also
 the gridded route's test oracle.  When the queries are the atoms (the same
 array), the gather reuses the spread's factors while they fit in one chunk.
 Against a grid field, convolve_field is the midpoint-rule quadrature at
-arbitrary points, and convolve_field_grid gives the same quadrature at
-every cell centre (shifted by an optional sub-cell offset) for one
-kernel-species pair or a batch of them, through one FFT engine: one mass
-sum, one forward FFT of all species, one product and one inverse FFT of
-the batch.  The rest (constant/FFT split, gather indices, stacked kernel
-spectra, crop) is a batch plan cached per kernel tuple, species tuple,
-grid shape, spacing and offset in a bounded, thread-safe LRU cache.  Its
-test oracle is convolve_field at the shifted cell centres, and the two
+arbitrary points: the direct sum over the cell centres weighted by the
+cell masses.  Every direct sum scans its pairs through grids.pair_r2 in
+blocks of about CHUNK pairs.  convolve_field_grid gives the same
+quadrature at every cell centre (shifted by an optional sub-cell offset)
+for one kernel-species pair or a batch of them, through one FFT engine:
+one mass sum, one forward FFT of all species, one product and one inverse
+FFT of the batch.  The rest (constant/FFT split, gather indices, stacked
+kernel spectra, crop) is a batch plan cached per kernel tuple, species
+tuple, grid shape, spacing and offset in a bounded, thread-safe LRU cache.
+Its test oracle is convolve_field at the shifted cell centres, and the two
 agree to 1e-8.
 """
 
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft
 
-from .grids import GridField, points
+from .grids import GridField, pair_r2, points
 
 FAMILIES = ("gaussian", "compact-bump", "constant", "tabulated")
 
@@ -156,8 +158,10 @@ def tabulated_from_csv(path, dim: int, amplitude: float = 1.0) -> KernelSpec:
 # ---------------------------------------------------------------------
 # quadrature checks
 
-def kernel_mass(k: KernelSpec, n: int = 4001) -> float:
-    """Numerical integral of the kernel over its truncation box."""
+def kernel_mass(k: KernelSpec) -> float:
+    """Numerical integral of the kernel over its truncation box, by the
+    trapezoid rule on 4001 nodes."""
+    n = 4001
     if k.family == "constant":
         raise ValueError("constant kernels are not integrable")
     rad = k.support_radius
@@ -241,15 +245,14 @@ def convolve_empirical(k: KernelSpec, nu: EmpiricalMeasure, x) -> np.ndarray:
 
 
 def _direct_sum(k: KernelSpec, atoms: np.ndarray, xq: np.ndarray, K: int,
-                chunk: int) -> np.ndarray:
-    """The O(N Q) direct sum (1/K) sum_n k(x_q - x_n); also the oracle."""
+                chunk: int, weights=None) -> np.ndarray:
+    """The O(N Q) direct sum (1/K) sum_n w_n k(x_q - x_n), unit weights by
+    default; also the oracle of the gridded route."""
     out = np.zeros(xq.shape[0])
-    block = max(1, chunk // max(1, atoms.shape[0]))
-    for start in range(0, xq.shape[0], block):
-        q = xq[start:start + block]
-        diff = q[:, None, :] - atoms[None, :, :]
-        r2 = np.einsum("qnk,qnk->qn", diff, diff)
-        out[start:start + block] = k._eval_radius2(r2).sum(axis=1) / K
+    for start, stop, r2 in pair_r2(xq, atoms, chunk):
+        vals = k._eval_radius2(r2)
+        out[start:stop] = (vals.sum(axis=1) if weights is None
+                           else vals @ weights) / K
     return out
 
 
@@ -330,16 +333,8 @@ def convolve_field(k: KernelSpec, u: GridField, species: int,
     xq = points(x, k.dim)
     if k.family == "constant":
         return np.full(xq.shape[0], k.amplitude * u.mass(species))
-    centers = u.centers()
-    vals = u.values[species].ravel() * u.cell_volume
-    out = np.zeros(xq.shape[0])
-    block = max(1, CHUNK // max(1, centers.shape[0]))
-    for start in range(0, xq.shape[0], block):
-        q = xq[start:start + block]
-        diff = q[:, None, :] - centers[None, :, :]
-        r2 = np.einsum("qnk,qnk->qn", diff, diff)
-        out[start:start + block] = k._eval_radius2(r2) @ vals
-    return out
+    return _direct_sum(k, u.centers(), xq, 1, CHUNK,
+                       u.values[species].ravel() * u.cell_volume)
 
 
 @lru_cache(maxsize=16)

@@ -27,8 +27,11 @@ and the certificate phi is that extension, which is feasible and attains
 it.  A gap still open after CUT_ROUNDS rounds, or after a round that finds
 no violated pair to add, raises BLError.
 
-Every certificate records ub, lb and the cutting-plane rounds.  In d = 1 lb
-only checks the LP solver.
+A_ub stacks the pair incidence matrix D (+1, -1 per pair) over -D, each
+beside the column -|z_i - z_j| of a, then +-I beside the column -1 of b,
+then the budget row.  The exhaustive scans read the support's distances
+through grids.pair_r2 in blocks of PAIR_CHUNK pairs.  Every certificate
+records ub, lb and the rounds.  In d = 1 lb only checks the LP solver.
 """
 
 from __future__ import annotations
@@ -40,11 +43,12 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from .grids import GridField
+from .grids import GridField, pair_r2
 
 EXACT_LP_LIMIT = 50_000
 CUT_ROUNDS = 30
 GAP_TOL = 1e-7
+PAIR_CHUNK = 2_000_000
 
 
 class BLError(RuntimeError):
@@ -127,31 +131,22 @@ def _pair_dists(points, pairs):
 
 
 def _solve_lp(points, eta, pairs):
-    """LP over [phi, a, b]; returns (value, phi, a, b)."""
-    n = points.shape[0]
-    dists = _pair_dists(points, pairs)
-    m = pairs.shape[0]
-    ar = np.arange
-    # rows 0..2m-1: +-(phi_i - phi_j) - a d_ij <= 0
-    pr = np.concatenate([ar(m), ar(m), ar(m),
-                         m + ar(m), m + ar(m), m + ar(m)])
-    pc = np.concatenate([pairs[:, 0], pairs[:, 1], np.full(m, n),
-                         pairs[:, 0], pairs[:, 1], np.full(m, n)])
-    pv = np.concatenate([np.ones(m), -np.ones(m), -dists,
-                         -np.ones(m), np.ones(m), -dists])
-    # rows 2m..2m+2n-1: +-phi_z - b <= 0; last row: a + b <= 1
-    base = 2 * m
-    sr = np.concatenate([base + ar(n), base + ar(n),
-                         base + n + ar(n), base + n + ar(n)])
-    sc = np.concatenate([ar(n), np.full(n, n + 1), ar(n), np.full(n, n + 1)])
-    sv = np.concatenate([np.ones(n), -np.ones(n),
-                         -np.ones(n), -np.ones(n)])
-    r = base + 2 * n + 1
-    rows = np.concatenate([pr, sr, [r - 1, r - 1]])
-    cols = np.concatenate([pc, sc, [n, n + 1]])
-    data = np.concatenate([pv, sv, [1.0, 1.0]])
-    A = sparse.csr_matrix((data, (rows, cols)), shape=(r, n + 2))
-    b_ub = np.zeros(r)
+    """LP over [phi, a, b]; returns (value, phi, a, b).  A_ub is built in
+    CSR form: 2m pair rows of three entries (-D is the incidence matrix of
+    the reversed pairs), then 2n sup rows and the budget row of two."""
+    n, m = points.shape[0], pairs.shape[0]
+    z, e = np.arange(n), np.ones(2 * m)
+    pair_cols = np.c_[np.r_[pairs, pairs[:, ::-1]], np.full(2 * m, n)]
+    pair_vals = np.c_[e, -e, -np.tile(_pair_dists(points, pairs), 2)]
+    rest_cols = np.c_[np.r_[z, z, n], np.full(2 * n + 1, n + 1)]
+    rest_vals = np.c_[np.r_[np.repeat([1.0, -1.0], n), 1.0],
+                     np.r_[np.full(2 * n, -1.0), 1.0]]
+    A = sparse.csr_matrix((np.r_[pair_vals.ravel(), rest_vals.ravel()],
+                           np.r_[pair_cols.ravel(), rest_cols.ravel()],
+                           np.r_[0:6 * m:3, 6 * m:6 * m + 4 * n + 3:2]),
+                          shape=(2 * m + 2 * n + 1, n + 2))
+    A.sort_indices()
+    b_ub = np.zeros(A.shape[0])
     b_ub[-1] = 1.0
     c = np.concatenate([-eta, [0.0, 0.0]])
     bounds = [(None, None)] * n + [(0.0, 1.0), (0.0, 1.0)]
@@ -212,7 +207,8 @@ def _extensions(points, phi, a):
     (2, n) array: the lower min_w [phi(w) + a|z - w|] and the upper
     max_w [phi(w) - a|z - w|], by a chunked scan."""
     out = np.empty((2, points.shape[0]))
-    for start, stop, dist in _distance_rows(points):
+    for start, stop, r2 in pair_r2(points, points, PAIR_CHUNK):
+        dist = np.sqrt(r2)
         out[0, start:stop] = np.min(phi + a * dist, axis=1)
         out[1, start:stop] = np.max(phi - a * dist, axis=1)
     return out
@@ -222,23 +218,12 @@ def _violated_pairs(points, phi, a):
     """All pairs whose Lipschitz constraint the current phi violates,
     found by an exhaustive chunked scan."""
     out = []
-    for start, stop, dist in _distance_rows(points):
-        gap = np.abs(phi[start:stop, None] - phi[None, :]) - a * dist
+    for start, stop, r2 in pair_r2(points, points, PAIR_CHUNK):
+        gap = np.abs(phi[start:stop, None] - phi[None, :]) - a * np.sqrt(r2)
         ii, jj = np.nonzero(gap > 1e-9)
         keep = start + ii < jj
         out.append(np.stack([start + ii[keep], jj[keep]], axis=1))
     return np.vstack(out)
-
-
-def _distance_rows(points):
-    """(start, stop, distances from points[start:stop] to every point), in
-    chunks of about 2e6 pairs."""
-    n = points.shape[0]
-    chunk = max(1, 2_000_000 // n)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = points[start:stop, None, :] - points[None, :, :]
-        yield start, stop, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def bl_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BLResult:
@@ -274,8 +259,9 @@ class RateFit:
     n_points: int
 
 
-def rate_fit(pairs, n_boot: int = 500, seed: int = 0) -> RateFit:
-    """Log-log least-squares slope of (scale, distance) pairs."""
+def rate_fit(pairs, seed: int = 0) -> RateFit:
+    """Log-log least-squares slope of (scale, distance) pairs, with a band
+    from 500 bootstrap resamples."""
     pairs = [(float(s), float(dist)) for s, dist in pairs]
     if len(pairs) < 3:
         raise ValueError("rate fit needs at least 3 scales")
@@ -288,7 +274,7 @@ def rate_fit(pairs, n_boot: int = 500, seed: int = 0) -> RateFit:
     # all resamples in one draw (the same stream as one draw per resample),
     # then the closed-form least-squares slope of every non-degenerate one
     idx = np.random.default_rng(seed).integers(
-        0, len(pairs), size=(n_boot, len(pairs)))
+        0, len(pairs), size=(500, len(pairs)))
     bx = lx[idx]
     keep = np.ptp(bx, axis=1) >= 1e-12
     bx, by = bx[keep], ly[idx[keep]]

@@ -22,6 +22,10 @@ from .grids import points
 from .kernels import KernelSpec
 
 SQRT2 = math.sqrt(2.0)
+# Declared C_M of assumption (ii), and the slack factor validate allows on
+# the declared bounds L and C_M.
+GROWTH_SCALE_BOUND = 10.0
+PROBE_TOL = 1.05
 
 
 def _eval(fn, name: str, x, v, shape: tuple) -> np.ndarray:
@@ -49,9 +53,7 @@ class CoefficientModel:
     C: list | None = None            # competition kernels (kernel mode)
     comp: np.ndarray | None = None   # local competition constants c_ij >= 0
     lipschitz_bound: float = 10.0    # declared L of assumption (i)
-    growth_scale_bound: float = 10.0  # declared C_M of assumption (ii)
     noise_scale: float = SQRT2
-    family: str = "custom"
 
     def __post_init__(self):
         for mat, name in ((self.G, "G"), (self.H, "H"), (self.C, "C")):
@@ -106,8 +108,8 @@ def diffusion_matrix(model: CoefficientModel, i: int, x, v) -> np.ndarray:
 # built-in families (Remark on examples: coefficients may vanish, and with
 # constant kernels they depend only on subspecies total masses)
 
-def _const_kernel_matrix(M: int, d: int, amp: float = 1.0) -> list:
-    k = KernelSpec("constant", d, amplitude=amp)
+def _const_kernel_matrix(M: int, d: int) -> list:
+    k = KernelSpec("constant", d)
     return [[k for _ in range(M)] for _ in range(M)]
 
 
@@ -181,7 +183,7 @@ def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
     L = float(params.get("lipschitz_bound", max(L, 1e-9)))
     return CoefficientModel(M, d, sigma_fns, drift_fns, growth_fns, bounds,
                             G, H, C=C, comp=comp, lipschitz_bound=L,
-                            noise_scale=noise_scale, family=family)
+                            noise_scale=noise_scale)
 
 
 # ---------------------------------------------------------------------
@@ -195,7 +197,6 @@ class ProbeSpec:
     v_min: float = 0.0
     n: int = 512
     seed: int = 0
-    tol: float = 1.05    # slack factor on declared bounds
 
     def __post_init__(self):
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -271,7 +272,7 @@ def validate(model: CoefficientModel, probes: ProbeSpec) -> ValidationReport:
                 lip = float(np.max(num[ok] / den[ok], initial=lip))
     checks.append(AssumptionCheck(
         "(i) Lipschitz constant L", lip, model.lipschitz_bound,
-        lip <= probes.tol * model.lipschitz_bound))
+        lip <= PROBE_TOL * model.lipschitz_bound))
 
     # (ii) affine growth bound on |sigma|
     ratio = 0.0
@@ -282,8 +283,7 @@ def validate(model: CoefficientModel, probes: ProbeSpec) -> ValidationReport:
                              initial=ratio))
     checks.append(AssumptionCheck(
         "(ii) growth bound C_M (affine form)", ratio,
-        model.growth_scale_bound,
-        ratio <= probes.tol * model.growth_scale_bound))
+        GROWTH_SCALE_BOUND, ratio <= PROBE_TOL * GROWTH_SCALE_BOUND))
 
     # (iii) kernels nonnegative and bounded on a probe lattice
     worst = 0.0

@@ -336,8 +336,11 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     u0 = project_to_grid(init, *box)
     sol0 = pde.solve(model, u0, sp)
 
-    # identical data run twice: distances must vanish to solver tolerance
-    sol_same = pde.solve(model, u0, sp)
+    # the same data through a field dump's bit-exact read-back: distances
+    # must vanish to solver tolerance
+    dump_path = os.path.join(out_dir, "u0.bin")
+    io.write_field_dump(dump_path, u0)
+    sol_same = pde.solve(model, io.read_field_dump(dump_path), sp)
     certs = []    # every BL certificate, for the gap and rounds summary
 
     def dist(a, b):
@@ -373,7 +376,7 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
          "ratio_spread": round(ratio_spread, 4),
          "bl_max_relative_gap": f"{gap:.3g}",
          "bl_max_rounds": max(c["rounds"] for c in certs)},
-        [csv_path])
+        [csv_path, dump_path])
 
 
 STUDIES = {

@@ -270,6 +270,44 @@ def test_cli_usage_error_on_non_numeric_run_value(tmp_path, capsys, verb,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb,where,key", [
+    ("solve-pde", "model.growth", "rate"), ("solve-pde", "model.growth", "base"),
+    ("solve-pde", "model.growth", "amp"),
+    ("solve-pde", "model.growth", "center"),
+    ("solve-pde", "model.growth", "width"), ("solve-pde", "initial[0]", "mass"),
+    ("solve-pde", "initial[0]", "std"),
+    ("solve-pde", "initial[0]", "halfwidth"),
+    ("validate", "validate", "v_max"), ("validate", "validate", "v_min"),
+    ("validate", "validate", "n"),
+])
+def test_cli_usage_error_on_non_numeric_config_number(tmp_path, capsys, verb,
+                                                      where, key):
+    cfg = base_cfg()
+    if where == "model.growth":
+        entry = {"kind": "constant" if key == "rate" else "bump"}
+        cfg["model"]["growth"] = [entry]
+    elif where == "initial[0]":
+        entry = cfg["initial"][0]
+    else:
+        entry = cfg.setdefault("validate", {})
+    entry[key] = [0.5]
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([verb, "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{where}.{key} must be a number" in err
+    assert "Traceback" not in err
+
+
+def test_cli_usage_error_on_missing_initial_mass(tmp_path, capsys):
+    cfg = base_cfg()
+    del cfg["initial"][0]["mass"]
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["solve-pde", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    assert "initial[0].mass must be a number" in capsys.readouterr().err
+
+
 def test_cli_usage_error_on_missing_file(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
@@ -517,6 +555,27 @@ def test_cli_study_identical_across_workers_and_resume(tmp_path, capsys,
     assert codes == [codes[0]] * 3
     assert tables[0] == tables[1] == tables[2]
     assert tables[0].count(b"\n") > 1
+
+
+def test_uniqueness_identical_run_solves_from_the_dumped_initial_data(
+        tmp_path, monkeypatch):
+    # the identical run starts from the read-back of u0.bin, so a read that
+    # nudges one cell must fail the verdict
+    from crossdiff.studies import study_uniqueness
+    cfg = study_cfg("study-uniqueness")
+    rep = study_uniqueness(cfg, str(tmp_path / "a"), seed=7)
+    assert rep.passed and rep.summary["identical_run_distance"] == "0"
+    assert str(tmp_path / "a" / "u0.bin") in rep.files
+    read = io.read_field_dump
+
+    def nudged(path):
+        u = read(path)
+        u.values[0, 16] += 1e-3
+        return u
+    monkeypatch.setattr(io, "read_field_dump", nudged)
+    rep = study_uniqueness(cfg, str(tmp_path / "b"), seed=7)
+    assert not rep.passed
+    assert float(rep.summary["identical_run_distance"]) > 1e-8
 
 
 @pytest.mark.parametrize("ibm_snaps", [None, [0.05, 0.15]])

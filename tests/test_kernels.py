@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdiff import kernels
-from crossdiff.grids import GridField
+from crossdiff.grids import GridField, pair_r2
 from crossdiff.initial import InitialCondition, project_to_grid
 from crossdiff.kernels import (EmpiricalMeasure, KernelSpec, convolve_empirical,
                                convolve_field, convolve_field_grid,
@@ -197,6 +197,19 @@ def test_convolve_empirical_2d_cost_rule_takes_gridded_route():
     np.testing.assert_allclose(
         got, kernels._direct_sum(k, atoms, q, n, 2 ** 22), rtol=1e-12,
         atol=0)
+
+
+@pytest.mark.parametrize("chunk,rows", [(3, 1), (10, 2)])
+def test_pair_r2_blocks_cover_every_row_once(chunk, rows):
+    # a chunk smaller than one row of 5 atoms gives one-row blocks
+    rng = np.random.default_rng(3)
+    xq, atoms = rng.normal(size=(7, 2)), rng.normal(size=(5, 2))
+    blocks = list(pair_r2(xq, atoms, chunk))
+    assert [(start, stop) for start, stop, _ in blocks] == \
+        [(s, min(s + rows, 7)) for s in range(0, 7, rows)]
+    full = [[float(np.sum((q - a) ** 2)) for a in atoms] for q in xq]
+    np.testing.assert_allclose(np.vstack([r2 for *_, r2 in blocks]), full,
+                               rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("case", ["compact-bump", "tabulated", "one-atom",

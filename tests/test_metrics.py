@@ -119,6 +119,28 @@ def test_lp_failure_raises_bl_error(monkeypatch):
         bl_distance(mu, nu)
 
 
+def test_solve_lp_constraint_rows_by_hand(monkeypatch):
+    # the support 3, 0, 1 in that order: its sorted pairs (0, 1) and (1, 3)
+    # are the index pairs (1, 2) and (2, 0); columns phi_0, phi_1, phi_2, a, b
+    seen, linprog = {}, M.linprog
+
+    def recorded(c, A_ub, b_ub, **kw):
+        seen.update(A=A_ub.toarray(), b=b_ub)
+        return linprog(c, A_ub=A_ub, b_ub=b_ub, **kw)
+    monkeypatch.setattr(M, "linprog", recorded)
+    points = np.array([[3.0], [0.0], [1.0]])
+    pairs = M._pair_set(points)
+    assert pairs.tolist() == [[1, 2], [2, 0]]
+    M._solve_lp(points, np.array([0.5, -0.25, -0.25]), pairs)
+    assert seen["A"].tolist() == [
+        [0, 1, -1, -1, 0], [-1, 0, 1, -2, 0],    # phi_i - phi_j - a d_ij
+        [0, -1, 1, -1, 0], [1, 0, -1, -2, 0],    # phi_j - phi_i - a d_ij
+        [1, 0, 0, 0, -1], [0, 1, 0, 0, -1], [0, 0, 1, 0, -1],     # phi - b
+        [-1, 0, 0, 0, -1], [0, -1, 0, 0, -1], [0, 0, -1, 0, -1],  # -phi - b
+        [0, 0, 0, 1, 1]]                                           # a + b
+    assert seen["b"].tolist() == [0.0] * 10 + [1.0]
+
+
 def counted_lp(monkeypatch):
     """Patch _solve_lp to record its calls; returns the call list."""
     calls, solve = [], M._solve_lp

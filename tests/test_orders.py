@@ -5,12 +5,14 @@ order in a band around the theoretical one; the bands come from the
 measurements logged in CHANGES.md, and each test prints what it observed.
 """
 
+import math
+
 import numpy as np
 import pytest
 from _coefficients import synthetic_coeffs
 
 from crossdiff.config import (build_initial, build_model, grid_box,
-                              solver_params)
+                              mollified_C, solver_params)
 from crossdiff.flow import compose_inverse_forward
 from crossdiff.initial import project_to_grid
 from crossdiff.pde import solve
@@ -86,3 +88,23 @@ def test_pde_space_order_two(case):
     orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]
     print(f"{case}: errors {errs}, orders {orders}")
     assert all(1.8 <= p <= 2.2 for p in orders)
+
+
+def test_pde_time_order_one():
+    # self-convergence at fixed h: e_dt = |u_dt - u_{dt/2}|_1 at t = 0.2 on
+    # the criterion-05 model in kernel mode at eps = 0.1, 128 cells, for
+    # forward Euler at dt = 0.004, 0.002, 0.001, 0.0005.  Measured orders:
+    # 0.9984, 0.9992
+    model, initial, pde, _ = CASES["1d-local"]
+    finals = []
+    for dt in (0.004, 0.002, 0.001, 0.0005):
+        cfg = {"model": model, "initial": initial,
+               "pde": dict(pde, cells=128, dt=dt, t_end=0.2, mode="kernel")}
+        u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
+        m = build_model(cfg, C_kernels=mollified_C(cfg, math.sqrt(0.1)))
+        finals.append(solve(m, u0, solver_params(cfg)).snapshots[-1])
+    errs = [float(np.sum(np.abs(a.values - b.values))) * a.cell_volume
+            for a, b in zip(finals, finals[1:])]
+    orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]
+    print(f"pde time: errors {errs}, orders {orders}")
+    assert all(0.9 <= p <= 1.1 for p in orders)
