@@ -84,6 +84,37 @@ def _lattice(k: KernelSpec, fields: list):
         else None
 
 
+def _not_a_knot_pp(x: np.ndarray, y: np.ndarray):
+    """Not-a-knot cubic splines through the rows of y (S, n) at n >= 4
+    increasing nodes x in pp form: breakpoints (x but x_1 and x_-2) and
+    coef[3 - m, s, i] = S_s^(m)(brk_i) / m!.  The node slopes of every row
+    come from one tridiagonal elimination without pivoting (de Boor, A
+    Practical Guide to Splines, ch. IV), each piece from its slopes."""
+    n, dx, e0, e1 = x.size, np.diff(x), x[2] - x[0], x[-1] - x[-3]
+    d = np.diff(y, axis=1).T / dx[:, None]        # (n - 1, S) secants
+    # row i: a_i s_{i-1} + b_i s_i + c_i s_{i+1} = rhs_i
+    a = [0.0, *dx[1:], e1]
+    b = [dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]]
+    c = [e0, *dx[:-1], 0.0]
+    rhs = np.vstack([((dx[0] + 2 * e0) * dx[1] * d[0] + dx[0] ** 2 * d[1]) / e0,
+                     3.0 * (dx[1:, None] * d[:-1] + dx[:-1, None] * d[1:]),
+                     (dx[-1] ** 2 * d[-2] + (2 * e1 + dx[-1]) * dx[-2] * d[-1])
+                     / e1])
+    piv, rows = [b[0]], list(rhs)     # rows: views of rhs, updated in place
+    for i in range(1, n):
+        f = a[i] / piv[-1]
+        piv.append(b[i] - f * c[i - 1])
+        rows[i] -= f * rows[i - 1]
+    rhs /= np.array(piv)[:, None]
+    for i in range(n - 2, -1, -1):
+        rows[i] -= c[i] / piv[i] * rows[i + 1]
+    keep = np.r_[0, 2:n - 2]
+    h, dk, s0, s1 = dx[keep], d[keep].T, rhs[keep].T, rhs[keep + 1].T
+    coef = np.stack([(s0 + s1 - 2.0 * dk) / h ** 2,
+                     (3.0 * dk - 2.0 * s0 - s1) / h, s0, y[:, keep]])
+    return np.r_[x[0], x[2:-2], x[-1]], coef
+
+
 class ConvolutionTable:
     """(k * u^j)(x) at every snapshot, read back from a C^2 cubic spline.
 
@@ -93,16 +124,15 @@ class ConvolutionTable:
     is one FFT grid convolution of the zero-padded field, with its batch
     plan cached across snapshots.
 
-    In 1-d the not-a-knot make_interp_spline of the snapshots is stored
-    in pp form, and a read finds each point's interval by cell index on
-    the uniform lattice instead of the library's interval search (0.15
-    against 1.2-1.7 ms for the `flow` workload's 12,800 points).  In 2-d
-    each snapshot keeps a RectBivariateSpline: a tensor-product pp form
-    needs 16 coefficients per node.
+    In 1-d _not_a_knot_pp fits every snapshot's spline at once, and a
+    read finds each point's interval by cell index on the uniform lattice
+    instead of an interval search (0.15 against 1.2-1.7 ms for the `flow`
+    workload's 12,800 points).  In 2-d each snapshot keeps a scipy
+    RectBivariateSpline: a tensor-product pp form needs 16 coefficients
+    per node.
     """
 
     def __init__(self, k: KernelSpec, fields: list, j: int, r, pad):
-        from scipy.interpolate import RectBivariateSpline, make_interp_spline
         g = fields[0]
         h = g.spacing
         widths = [(0, 0)] + [(p, p) for p in pad]
@@ -122,21 +152,16 @@ class ConvolutionTable:
                 values[(s,) + nodes] = convolve_field_grid(k, u, 0,
                                                            offset=offset)
         if g.dim == 1:
-            # the not-a-knot spline's distinct knots are its breakpoints:
-            # every lattice node but the second and the second-to-last, so
             # the two end intervals are twice as wide as the uniform
             # interior ones
-            spline = make_interp_spline(self.axes[0], values, k=3, axis=1)
-            self.brk = spline.t[3:-3]
+            self.brk, self.coef = _not_a_knot_pp(self.axes[0], values)
             inner = np.diff(self.brk[1:-1])
             self.step = float(inner.mean())
             if not np.allclose(inner, self.step, rtol=1e-9, atol=0.0):
                 raise ValueError("1-d table needs uniform interior "
                                  "breakpoints")
-            # pp form: coef[3 - m, s, i] = S_s^(m)(brk_i) / m!
-            self.coef = np.stack([spline(self.brk[:-1], nu=m)
-                                  / math.factorial(m) for m in (3, 2, 1, 0)])
         else:
+            from scipy.interpolate import RectBivariateSpline
             self.splines = [RectBivariateSpline(*self.axes, v, kx=3, ky=3,
                                                 s=0) for v in values]
 

@@ -32,6 +32,7 @@ beside the column -|z_i - z_j| of a, then +-I beside the column -1 of b,
 then the budget row.  The exhaustive scans read the support's distances
 through grids.pair_r2 in blocks of PAIR_CHUNK pairs.  Every certificate
 records ub, lb and the rounds.  In d = 1 lb only checks the LP solver.
+scipy (HiGHS, sparse matrices, k-d trees) is imported by the first solve.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.spatial import cKDTree
 
 from .grids import GridField, pair_r2
 
@@ -109,6 +107,12 @@ def _signed_union(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return uniq, eta
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
+
+
 def _pair_set(points: np.ndarray):
     """Initial constraint pairs: complete in d = 1, local stencil above."""
     n, d = points.shape
@@ -117,6 +121,7 @@ def _pair_set(points: np.ndarray):
     if d == 1:
         order = np.argsort(points[:, 0], kind="stable")
         return np.stack([order[:-1], order[1:]], axis=1)
+    from scipy.spatial import cKDTree
     tree = cKDTree(points)
     dist, nbr = tree.query(points, k=min(5, n))
     ii = np.repeat(np.arange(n), nbr.shape[1] - 1)
@@ -134,6 +139,7 @@ def _solve_lp(points, eta, pairs):
     """LP over [phi, a, b]; returns (value, phi, a, b).  A_ub is built in
     CSR form: 2m pair rows of three entries (-D is the incidence matrix of
     the reversed pairs), then 2n sup rows and the budget row of two."""
+    from scipy import sparse
     n, m = points.shape[0], pairs.shape[0]
     z, e = np.arange(n), np.ones(2 * m)
     pair_cols = np.c_[np.r_[pairs, pairs[:, ::-1]], np.full(2 * m, n)]

@@ -825,15 +825,40 @@ def test_cli_flow_2d_probe_column_parses_to_floats(tmp_path, capsys):
     assert ys == [[0.0, 0.0], [0.3, 0.1]]
 
 
-def test_package_import_leaves_slow_scipy_modules_unloaded():
-    # each adds tens of milliseconds to every process start; only the
-    # code that builds a spline table imports scipy.interpolate, and only
-    # the compact-bump normalization scipy.integrate
-    code = ("import sys, crossdiff, crossdiff.cli, crossdiff.studies; "
-            "print([m for m in ('scipy.interpolate', 'scipy.signal', "
-            "'scipy.integrate') if m in sys.modules])")
+def _scipy_modules_after(code, *args):
+    """scipy modules loaded by a fresh interpreter that runs code."""
+    code += ("; import json; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('scipy'))))")
     src = os.path.dirname(os.path.dirname(crossdiff.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_package_import_leaves_slow_scipy_modules_unloaded():
+    # scipy adds hundreds of milliseconds to every process start; only a
+    # BL solve and a 2-d flow table import it, when they run
+    assert _scipy_modules_after(
+        "import sys, crossdiff, crossdiff.cli, crossdiff.studies") == []
+
+
+def test_cli_study_flow_1d_loads_no_scipy(tmp_path):
+    path = write_cfg(tmp_path, study_cfg("study-flow"))
+    code = ("import sys; from crossdiff import cli; "
+            "code = cli.main(['study-flow', '--config', sys.argv[1], "
+            "'--out', sys.argv[2]]); assert code == cli.EXIT_OK, code")
+    assert _scipy_modules_after(code, path, str(tmp_path / "o")) == []
+    assert (tmp_path / "o" / "flow_density.csv").exists()
+
+
+def test_bl_distance_1d_loads_optimize_not_interpolate():
+    # scipy.optimize itself loads scipy.spatial (its shgo solver), so the
+    # 1-d solve is checked for the modules only the flow tables would load
+    loaded = _scipy_modules_after(
+        "import sys; from crossdiff.metrics import DiscreteMeasure, "
+        "bl_distance; bl_distance(DiscreteMeasure([[0.0], [1.0]], [1, 1]), "
+        "DiscreteMeasure([[0.5]], [1.0]))")
+    assert "scipy.optimize" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.interpolate",
+                                                   "scipy.integrate"))]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from _coefficients import CallableCoefficients, synthetic_coeffs
 
+from crossdiff import flow
 from crossdiff.config import (build_initial, build_model, grid_box,
                               solver_params)
 from crossdiff.flow import (ConvolutionTable, FlowError, FrozenCoefficients,
@@ -460,17 +461,17 @@ def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
     # reads are those of the per-snapshot splines bit for bit, in 1-d the
     # pp form differs from a per-snapshot spline read by rounding only.
     # The wide field keeps k * u far from 0 in the lattice's end intervals.
-    import scipy.interpolate as si
+    from scipy.interpolate import make_interp_spline as make
     m, sol = _table_case("gaussian", cells, dim, "wide")
     a, b = sol.snapshots
     fields = [a, b, GridField(a.lo, a.hi, 0.5 * (a.values + b.values))]
     k = m.C[0][0]
-    built, make = [], si.make_interp_spline
+    built, fit = [], flow._not_a_knot_pp
 
-    def recorded(x, y, **kwargs):
+    def recorded(x, y):
         built.append((x, y))
-        return make(x, y, **kwargs)
-    monkeypatch.setattr(si, "make_interp_spline", recorded)
+        return fit(x, y)
+    monkeypatch.setattr(flow, "_not_a_knot_pp", recorded)
     table = ConvolutionTable(k, fields, 0, *_lattice(k, fields))
     rng = np.random.default_rng(dim)
     X = rng.uniform(a.lo[0], a.hi[0], (300, dim))
@@ -504,12 +505,31 @@ def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
 
 def test_table_rejects_nonuniform_lattice(monkeypatch):
     # the 1-d read finds a point's interval by arithmetic on the step
-    import scipy.interpolate as si
     m, sol = _table_case("gaussian", 128, 1, 0.6)
     fields = list(sol.snapshots)
     k = m.C[0][0]
-    make = si.make_interp_spline
-    monkeypatch.setattr(si, "make_interp_spline",
-                        lambda x, y, **kw: make(x + 1e-3 * x ** 2, y, **kw))
+    fit = flow._not_a_knot_pp
+    monkeypatch.setattr(flow, "_not_a_knot_pp",
+                        lambda x, y: fit(x + 1e-3 * x ** 2, y))
     with pytest.raises(ValueError, match="uniform"):
         ConvolutionTable(k, fields, 0, *_lattice(k, fields))
+
+
+@pytest.mark.parametrize("n", [4, 5, 40, 364])
+def test_not_a_knot_fit_matches_make_interp_spline(n):
+    # the pp form of scipy's not-a-knot interpolant: its distinct knots are
+    # the breakpoints, its derivatives there the scaled coefficients; on a
+    # uniform lattice (the tables') and on a non-uniform one
+    from scipy.interpolate import make_interp_spline
+    rng = np.random.default_rng(n)
+    for x in (-1.5 + 0.0125 * np.arange(n),
+              np.cumsum(rng.uniform(0.5, 1.5, n))):
+        y = np.cumsum(rng.normal(size=(3, n)), axis=1) + np.sin(4 * x)
+        brk, coef = flow._not_a_knot_pp(x, y)
+        spline = make_interp_spline(x, y, k=3, axis=1)
+        assert np.array_equal(brk, spline.t[3:-3])
+        assert coef.shape == (4, 3, brk.size - 1)
+        for m in range(4):
+            ref = spline(brk[:-1], nu=m) / math.factorial(m)
+            np.testing.assert_allclose(coef[3 - m], ref, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(ref)))

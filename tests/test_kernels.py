@@ -322,6 +322,50 @@ def test_convolve_field_grid_bit_equal_to_fftconvolve(shape):
                           np.maximum(ref, 0.0))
 
 
+def test_fast_len_equals_scipy_next_fast_len():
+    from scipy import fft
+    for n in range(1, 20_001):
+        assert kernels._fast_len(n) == fft.next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize("shape", [(128,), (12, 12), (36, 36)])
+def test_grid_convolution_bit_equal_to_scipy_fft(shape):
+    # M = 2 species, P = 4 kernels, a sub-cell offset: the numpy route of
+    # the batch plan against the same plan run through scipy.fft
+    from scipy import fft
+    rng = np.random.default_rng(sum(shape))
+    d = len(shape)
+    u = GridField(-np.ones(d), np.ones(d), rng.random((2, *shape)), 0.0)
+    offset = np.array([0.37, -0.21][:d]) * u.spacing
+    g, b, t, _ = _mixed_kernels(d)
+    ks, js = (g, b, t, KernelSpec("gaussian", d, bandwidth=0.15)), (1, 0, 0, 1)
+    fshape = tuple(fft.next_fast_len(3 * n - 2, real=True) for n in shape)
+    offs = [np.arange(-(n - 1), n) * h + o
+            for n, h, o in zip(shape, u.spacing, offset)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*offs, indexing="ij")],
+                   axis=-1)
+    spectra = np.array([fft.rfftn(k.evaluate_batch(pts).reshape(
+        [2 * n - 1 for n in shape]), fshape) for k in ks])
+    axes = range(1, d + 1)
+    conv = fft.irfftn(fft.rfftn(u.values, fshape, axes=axes)[list(js)]
+                      * spectra, fshape, axes=axes)
+    crop = (...,) + tuple(slice(n - 1, 2 * n - 1) for n in shape)
+    ref = np.maximum(conv[crop] * u.cell_volume, 0.0)
+    assert np.array_equal(convolve_field_grid(ks, u, js, offset=offset), ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bump_norm_matches_adaptive_quadrature(dim):
+    from scipy import integrate
+    prof = lambda r: math.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0
+    if dim == 1:
+        ref, _ = integrate.quad(prof, -1.0, 1.0)
+    else:
+        ref, _ = integrate.quad(lambda r: 2.0 * math.pi * r * prof(r),
+                                0.0, 1.0)
+    assert kernels._bump_norm(dim) == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("family", ["gaussian", "compact-bump"])
 @pytest.mark.parametrize("shape,offset", [((64,), (0.013,)),
                                           ((24, 24), (0.02, -0.035))])
