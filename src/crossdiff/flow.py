@@ -34,9 +34,8 @@ snapshot on a lattice over the padded box (FFT grid convolutions with
 cached kernel spectra) and read back through C^2 cubic splines, so the
 nested differences of the inverse flow stay meaningful; in time they blend
 linearly between snapshots, which is exact because convolution is linear.
-A 1-d table holds its splines in pp form, so a read finds each point's
-interval by arithmetic on the uniform lattice and applies Horner's rule to
-the blended coefficients; a 2-d table reads one spline per snapshot.
+A read finds each point's cell by arithmetic on the uniform lattice and
+applies Horner's rule on every axis to the blended pp coefficients.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridField
-from .kernels import KernelSpec, convolve_field, convolve_field_grid
+from .kernels import CHUNK, KernelSpec, convolve_field, convolve_field_grid
 from .model import CoefficientModel
 from .pde import PDESolution
 
@@ -66,8 +65,9 @@ class FlowError(RuntimeError):
 # derivatives grow steeply near the edge of its support, so its lattice is
 # 8 times finer than the Gaussian's.
 TABLE_STEP = {"gaussian": 1.0 / 8.0, "compact-bump": 1.0 / 64.0}
-# Lattice nodes over all snapshots (16 MB of float64 values) above which
-# a kernel keeps the exact quadrature path instead of a table.
+# Lattice nodes over all snapshots (16 MB of float64 values, 4^d times
+# that in spline coefficients) above which a kernel keeps the exact
+# quadrature path instead of a table.
 TABLE_MAX_NODES = 2 ** 21
 
 
@@ -124,12 +124,10 @@ class ConvolutionTable:
     is one FFT grid convolution of the zero-padded field, with its batch
     plan cached across snapshots.
 
-    In 1-d _not_a_knot_pp fits every snapshot's spline at once, and a
-    read finds each point's interval by cell index on the uniform lattice
-    instead of an interval search (0.15 against 1.2-1.7 ms for the `flow`
-    workload's 12,800 points).  In 2-d each snapshot keeps a scipy
-    RectBivariateSpline: a tensor-product pp form needs 16 coefficients
-    per node.
+    The tensor-product not-a-knot spline is fitted by _not_a_knot_pp
+    along each axis in turn, on blocks of snapshots of at most CHUNK
+    coefficients (4^d per lattice piece), and read by cell index on the
+    uniform lattice instead of an interval search.
     """
 
     def __init__(self, k: KernelSpec, fields: list, j: int, r, pad):
@@ -151,19 +149,25 @@ class ConvolutionTable:
             for s, u in enumerate(padded):
                 values[(s,) + nodes] = convolve_field_grid(k, u, 0,
                                                            offset=offset)
-        if g.dim == 1:
-            # the two end intervals are twice as wide as the uniform
-            # interior ones
-            self.brk, self.coef = _not_a_knot_pp(self.axes[0], values)
-            inner = np.diff(self.brk[1:-1])
-            self.step = float(inner.mean())
-            if not np.allclose(inner, self.step, rtol=1e-9, atol=0.0):
-                raise ValueError("1-d table needs uniform interior "
-                                 "breakpoints")
-        else:
-            from scipy.interpolate import RectBivariateSpline
-            self.splines = [RectBivariateSpline(*self.axes, v, kx=3, ky=3,
-                                                s=0) for v in values]
+        # the tensor-product spline, one lattice axis at a time: each fit
+        # puts its 4 coefficients first and its pieces last
+        self.coef = np.empty((4 ** g.dim, len(fields),
+                              math.prod(x.size - 3 for x in self.axes)))
+        block = max(1, CHUNK // self.coef[:, 0].size)
+        for s in range(0, len(fields), block):
+            c, self.brk = values[None, s:s + block], []
+            for x in self.axes:
+                y = np.moveaxis(c, 2, -1)
+                brk, c = _not_a_knot_pp(x, y.reshape(-1, x.size))
+                c = c.reshape((-1,) + y.shape[1:-1] + c.shape[-1:])
+                self.brk.append(brk)
+            self.coef[:, s:s + block] = c.reshape(c.shape[:2] + (-1,))
+        # the end intervals are twice as wide as the uniform interior ones
+        inner = [np.diff(brk[1:-1]) for brk in self.brk]
+        self.step = [float(v.mean()) for v in inner]
+        if not all(np.allclose(v, step, rtol=1e-9, atol=0.0)
+                   for v, step in zip(inner, self.step)):
+            raise ValueError("table needs uniform interior breakpoints")
 
     def inside(self, X: np.ndarray) -> np.ndarray:
         """Mask of the query points the lattice covers."""
@@ -172,23 +176,23 @@ class ConvolutionTable:
 
     def __call__(self, weights: list, X: np.ndarray) -> np.ndarray:
         """sum_s w_s (k * u^s)(X) over the (snapshot, weight) pairs of a
-        time blend, for points the lattice covers; in 1-d the blend is of
-        the pp coefficients, read by cell index and Horner's rule."""
-        if X.shape[1] == 1:
-            x = X[:, 0]
-            c = sum(w * self.coef[:, s] for s, w in weights)
+        time blend, for points the lattice covers: the blend is of the pp
+        coefficients, read by cell index and Horner's rule on every axis."""
+        c = sum(w * self.coef[:, s] for s, w in weights)
+        n, dxs = X.shape[0], []
+        for a, (brk, step) in enumerate(zip(self.brk, self.step)):
             # the clip folds the double-width end intervals into the first
             # and last; a point within rounding of a breakpoint may take
             # the neighbouring piece, which matches it there to rounding
-            i = np.floor((x - self.brk[1]) / self.step).astype(np.intp) + 1
-            np.clip(i, 0, c.shape[1] - 1, out=i)
-            dx = x - self.brk[i]
-            c = np.take(c, i, axis=1)
-            return ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
-        out = np.zeros(X.shape[0])
-        for s, w in weights:
-            out += w * self.splines[s].ev(X[:, 0], X[:, 1])
-        return out
+            i = np.floor((X[:, a] - brk[1]) / step).astype(np.intp) + 1
+            np.clip(i, 0, brk.size - 2, out=i)
+            dxs.append(X[:, a] - brk[i])
+            flat = i if a == 0 else flat * (brk.size - 1) + i
+        c = np.take(c, flat, axis=1)
+        for a, dx in enumerate(dxs):
+            c = c.reshape(4 ** (len(dxs) - 1 - a), 4, n)
+            c = ((c[:, 0] * dx + c[:, 1]) * dx + c[:, 2]) * dx + c[:, 3]
+        return c[0]
 
 
 class FrozenCoefficients:

@@ -838,7 +838,7 @@ def _scipy_modules_after(code, *args):
 
 def test_package_import_leaves_slow_scipy_modules_unloaded():
     # scipy adds hundreds of milliseconds to every process start; only a
-    # BL solve and a 2-d flow table import it, when they run
+    # BL solve imports it, when it runs
     assert _scipy_modules_after(
         "import sys, crossdiff, crossdiff.cli, crossdiff.studies") == []
 
@@ -848,6 +848,27 @@ def test_cli_study_flow_1d_loads_no_scipy(tmp_path):
     code = ("import sys; from crossdiff import cli; "
             "code = cli.main(['study-flow', '--config', sys.argv[1], "
             "'--out', sys.argv[2]]); assert code == cli.EXIT_OK, code")
+    assert _scipy_modules_after(code, path, str(tmp_path / "o")) == []
+    assert (tmp_path / "o" / "flow_density.csv").exists()
+
+
+def test_cli_study_flow_2d_table_loads_no_scipy(tmp_path):
+    # a Gaussian C builds a 2-d table, fitted and read in numpy
+    cfg = study_cfg("study-flow")
+    cfg["model"].update({"dim": 2, "kernels": {
+        "C": {"family": "gaussian", "bandwidth": 0.5}}})
+    cfg["pde"].update({"lo": -4.0, "hi": 4.0, "cells": 8, "t_end": 0.02,
+                       "snapshot_times": [0.0, 0.02]})
+    cfg["flow"] = {"t": 0.02, "dt": 0.005, "n_paths": 4,
+                   "probes": [[0.0, 0.0]]}
+    path = write_cfg(tmp_path, cfg)
+    code = ("import sys; from crossdiff import cli, flow; built = []; "
+            "fit = flow.FrozenCoefficients.from_pde; "
+            "flow.FrozenCoefficients.from_pde = "
+            "lambda *a: built.append(fit(*a)) or built[-1]; "
+            "code = cli.main(['study-flow', '--config', sys.argv[1], "
+            "'--out', sys.argv[2]]); assert code == cli.EXIT_OK, code; "
+            "assert built and all(c.tables for c in built), built")
     assert _scipy_modules_after(code, path, str(tmp_path / "o")) == []
     assert (tmp_path / "o" / "flow_density.csv").exists()
 

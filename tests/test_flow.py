@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -457,10 +458,11 @@ def test_from_pde_gaussian_G_determinant_routes_agree():
 
 @pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2)])
 def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
-    # three snapshots, so a blend may start at a later column; in 2-d the
-    # reads are those of the per-snapshot splines bit for bit, in 1-d the
-    # pp form differs from a per-snapshot spline read by rounding only.
+    # three snapshots, so a blend may start at a later column; the pp read
+    # differs from a per-snapshot spline library read by rounding only:
+    # make_interp_spline in 1-d, RectBivariateSpline (s = 0) in 2-d.
     # The wide field keeps k * u far from 0 in the lattice's end intervals.
+    from scipy.interpolate import RectBivariateSpline
     from scipy.interpolate import make_interp_spline as make
     m, sol = _table_case("gaussian", cells, dim, "wide")
     a, b = sol.snapshots
@@ -473,46 +475,72 @@ def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
         return fit(x, y)
     monkeypatch.setattr(flow, "_not_a_knot_pp", recorded)
     table = ConvolutionTable(k, fields, 0, *_lattice(k, fields))
-    rng = np.random.default_rng(dim)
-    X = rng.uniform(a.lo[0], a.hi[0], (300, dim))
+    # one block of snapshots, so one fit per axis; the first fit's rows
+    # are the lattice values with axis 0 moved last
+    sizes = [x.size for x in table.axes]
+    assert [x.size for x, _ in built] == sizes
+    x0, y = built[0]
+    values = np.moveaxis(y.reshape([len(fields)] + sizes[1:] + sizes[:1]),
+                         -1, 1)
     if dim == 1:
-        (x, values), = built
-        per = [make(x, v, k=3) for v in values]
-        tol = 1e-14 * np.max(np.abs(values))
-        # random points, every breakpoint, the two double-width end
-        # intervals [x0, x2] and [x_-3, x_-1], and both lattice ends
-        X = np.concatenate([rng.uniform(x[0], x[-1], 300), per[0].t[3:-3],
-                            rng.uniform(x[0], x[2], 50),
-                            rng.uniform(x[-3], x[-1], 50),
-                            x[[0, -1]]])[:, None]
-
-        def read(s):
-            return per[s](X[:, 0])
+        per = [make(x0, v, k=3) for v in values]
     else:
-        def read(s):
-            return table.splines[s].ev(X[:, 0], X[:, 1])
+        per = [RectBivariateSpline(*table.axes, v, kx=3, ky=3, s=0)
+               for v in values]
+    tol = 1e-14 * np.max(np.abs(values))
+    # along each axis: random points, every breakpoint, and the two
+    # double-width end intervals [x0, x2] and [x_-3, x_-1]; every
+    # combination over the axes (the four corner regions in 2-d), and the
+    # lattice's corners
+    rng, n = np.random.default_rng(dim), max(sizes)
+    along = [(rng.uniform(x[0], x[-1], n),
+              np.resize(rng.permutation(np.r_[x[0], x[2:-2], x[-1]]), n),
+              rng.uniform(x[0], x[2], n), rng.uniform(x[-3], x[-1], n))
+             for x in table.axes]
+    X = np.concatenate([np.stack(c, axis=1)
+                        for c in itertools.product(*along)]
+                       + [list(itertools.product(*((x[0], x[-1])
+                                                   for x in table.axes)))])
+
+    def read(s):
+        return per[s](*X.T) if dim == 1 else per[s].ev(*X.T)
     for weights in ([(0, 1.0)], [(0, 0.3), (1, 0.7)], [(1, 0.45), (2, 0.55)],
                     [(2, 1.0)]):
         ref = np.zeros(X.shape[0])
         for s, w in weights:
             ref += w * read(s)
-        if dim == 1:
-            np.testing.assert_allclose(table(weights, X), ref, rtol=0,
-                                       atol=tol)
-        else:
-            assert np.array_equal(table(weights, X), ref)
+        np.testing.assert_allclose(table(weights, X), ref, rtol=0, atol=tol)
 
 
 def test_table_rejects_nonuniform_lattice(monkeypatch):
-    # the 1-d read finds a point's interval by arithmetic on the step
-    m, sol = _table_case("gaussian", 128, 1, 0.6)
+    # a read finds a point's interval by arithmetic on each axis's step; in
+    # 2-d only axis 1, fitted second, is perturbed
+    fit = flow._not_a_knot_pp
+    for cells, dim in ((128, 1), (12, 2)):
+        m, sol = _table_case("gaussian", cells, dim, 0.6)
+        fields = list(sol.snapshots)
+        k = m.C[0][0]
+        calls = []
+
+        def perturbed(x, y):
+            calls.append(x)
+            return fit(x + 1e-3 * x ** 2 if len(calls) % dim == 0 else x, y)
+        monkeypatch.setattr(flow, "_not_a_knot_pp", perturbed)
+        with pytest.raises(ValueError, match="uniform"):
+            ConvolutionTable(k, fields, 0, *_lattice(k, fields))
+        assert len(calls) == dim
+
+
+@pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2)])
+def test_table_reads_no_points(cells, dim):
+    # convolved reads a table with no points when none is inside
+    m, sol = _table_case("gaussian", cells, dim, 0.6)
     fields = list(sol.snapshots)
     k = m.C[0][0]
-    fit = flow._not_a_knot_pp
-    monkeypatch.setattr(flow, "_not_a_knot_pp",
-                        lambda x, y: fit(x + 1e-3 * x ** 2, y))
-    with pytest.raises(ValueError, match="uniform"):
-        ConvolutionTable(k, fields, 0, *_lattice(k, fields))
+    table = ConvolutionTable(k, fields, 0, *_lattice(k, fields))
+    X = np.zeros((0, dim))
+    assert table([(0, 1.0)], X).shape == (0,)
+    assert table([(0, 0.4), (1, 0.6)], X).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [4, 5, 40, 364])
