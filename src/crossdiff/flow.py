@@ -29,10 +29,10 @@ compositions with convolved fields, not closed forms.  One inverse-flow
 step calls sigma_eff once, on its whole stencil stacked (z, z +- h e_p and
 (z +- h e_p) +- h e_q: 1 + 2d + 4d^2 point sets), and the drift once, on
 the first 1 + 2d; every difference is taken from slices of the two.
-The convolutions k * u^j of the smooth kernels are tabulated once per
-snapshot on a lattice over the padded box (FFT grid convolutions with
-cached kernel spectra) and read back through C^2 cubic splines, so the
-nested differences of the inverse flow stay meaningful; in time they blend
+The convolutions k * u^j of the smooth kernels are tabulated on a lattice
+over the padded box (one FFT grid convolution per snapshot, with a cached
+kernel spectrum) and read back through C^2 cubic splines, so the nested
+differences of the inverse flow stay meaningful; in time they blend
 linearly between snapshots, which is exact because convolution is linear.
 A read finds each point's cell by arithmetic on the uniform lattice and
 applies Horner's rule on every axis to the blended pp coefficients.
@@ -40,7 +40,6 @@ applies Horner's rule on every axis to the blended pp coefficients.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,11 +117,13 @@ def _not_a_knot_pp(x: np.ndarray, y: np.ndarray):
 class ConvolutionTable:
     """(k * u^j)(x) at every snapshot, read back from a C^2 cubic spline.
 
-    The lattice spans the box padded by the kernel's support radius.  Each
-    PDE cell splits into r sub-cells per axis, with r chosen so that the
-    lattice step is at most TABLE_STEP * bandwidth; every sub-cell offset
-    is one FFT grid convolution of the zero-padded field, with its batch
-    plan cached across snapshots.
+    The lattice is a grid over the box padded by the kernel's support
+    radius: each PDE cell splits into r sub-cells per axis, with r chosen
+    so that the lattice step is at most TABLE_STEP * bandwidth, and the
+    first sub-cell centre of each is the PDE cell centre.  A snapshot puts
+    each PDE cell's mass on that node, zeros elsewhere, and one FFT grid
+    convolution gives every lattice value; all snapshots share its batch
+    plan.
 
     The tensor-product not-a-knot spline is fitted by _not_a_knot_pp
     along each axis in turn, on blocks of snapshots of at most CHUNK
@@ -132,23 +133,17 @@ class ConvolutionTable:
 
     def __init__(self, k: KernelSpec, fields: list, j: int, r, pad):
         g = fields[0]
-        h = g.spacing
-        widths = [(0, 0)] + [(p, p) for p in pad]
-        padded = [GridField(g.lo - pad * h, g.hi + pad * h,
-                            np.pad(f.values[j:j + 1], widths))
-                  for f in fields]
-        p0 = padded[0]
-        hp = p0.spacing
-        self.axes = [p0.lo[a] + (0.5 + np.arange(n * r[a]) / r[a]) * hp[a]
-                     for a, n in enumerate(p0.shape)]
-        values = np.empty((len(fields),) + tuple(r * p0.shape))
-        # offsets outermost, so each cached spectrum serves every snapshot
-        for sub in itertools.product(*(range(n) for n in r)):
-            nodes = tuple(slice(q, None, n) for q, n in zip(sub, r))
-            offset = np.asarray(sub) * hp / r
-            for s, u in enumerate(padded):
-                values[(s,) + nodes] = convolve_field_grid(k, u, 0,
-                                                           offset=offset)
+        h, step = g.spacing, g.spacing / r
+        shape = r * (np.asarray(g.shape) + 2 * pad)
+        lo = g.lo - pad * h + (h - step) / 2
+        lattice = GridField(lo, lo + shape * step, np.zeros((1, *shape)))
+        self.axes = [lattice.axis_centers(a) for a in range(g.dim)]
+        nodes = (0,) + tuple(slice(q * p, q * (p + n), q)
+                             for q, p, n in zip(r, pad, g.shape))
+        values = np.empty((len(fields), *shape))
+        for s, u in enumerate(fields):
+            lattice.values[nodes] = u.values[j] * np.prod(r)
+            values[s] = convolve_field_grid(k, lattice, 0)
         # the tensor-product spline, one lattice axis at a time: each fit
         # puts its 4 coefficients first and its pieces last
         self.coef = np.empty((4 ** g.dim, len(fields),

@@ -15,16 +15,16 @@ Against a grid field, convolve_field is the midpoint-rule quadrature at
 arbitrary points: the direct sum over the cell centres weighted by the
 cell masses.  Every direct sum scans its pairs through grids.pair_r2 in
 blocks of about CHUNK pairs.  convolve_field_grid gives the same
-quadrature at every cell centre (shifted by an optional sub-cell offset)
-for one kernel-species pair or a batch of them, through one FFT engine:
-one mass sum, one forward FFT of all species, one product and one inverse
-FFT of the batch.  The rest (constant/FFT split, gather indices, stacked
-kernel spectra, crop) is a batch plan cached per kernel tuple, species
-tuple, grid shape, spacing and offset in a bounded, thread-safe LRU cache.
-Its test oracle is convolve_field at the shifted cell centres, and the two
-agree to 1e-8.  The FFTs are numpy's, the pocketfft of scipy.fft: with
-scipy's 5-smooth lengths (_fast_len) and the inverse scaled once by
-1 / prod(lengths), not per axis, they equal scipy.fft's bit for bit.
+quadrature at every cell centre for one kernel-species pair or a batch of
+them, through one FFT engine: one mass sum, one forward FFT of all
+species, one product and one inverse FFT of the batch.  The rest
+(constant/FFT split, gather indices, stacked kernel spectra, crop) is a
+batch plan cached per kernel tuple, species tuple, grid shape and spacing
+in a bounded, thread-safe LRU cache.  Its test oracle is convolve_field at
+the cell centres, and the two agree to 1e-8.  The FFTs are numpy's, the
+pocketfft of scipy.fft: with scipy's 5-smooth lengths (_fast_len) and the
+inverse scaled once by 1 / prod(lengths), not per axis, they equal
+scipy.fft's bit for bit.
 """
 
 from __future__ import annotations
@@ -345,14 +345,13 @@ def _fast_len(n: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _batch_plan(ks: tuple, js: tuple, shape: tuple, spacing: tuple,
-                offset: tuple) -> tuple:
+def _batch_plan(ks: tuple, js: tuple, shape: tuple, spacing: tuple) -> tuple:
     """Batch plan of a grid convolution: (constant rows, amplitudes,
     species; FFT rows, species, stacked rfftn spectra of the kernels
-    sampled at the cell-centre offsets; FFT lengths; crop to the centres).
-    Keyed by the kernel tuple (KernelSpec compares by identity), species
-    tuple, grid shape, spacing and sub-cell offset, so a PDE step reuses
-    the plan of the previous step; its arrays are read-only and shared."""
+    sampled at the differences of cell centres; FFT lengths; crop to the
+    centres).  Keyed by the kernel tuple (KernelSpec compares by identity),
+    species tuple, grid shape and spacing, so a PDE step reuses the plan
+    of the previous step; its arrays are read-only and shared."""
     if len(ks) != len(js) or any(k.dim != len(shape) for k in ks):
         raise ValueError("need one kernel of the field's dimension per species")
     is_const = np.array([k.family == "constant" for k in ks], dtype=bool)
@@ -360,9 +359,8 @@ def _batch_plan(ks: tuple, js: tuple, shape: tuple, spacing: tuple,
     js = np.array(js)
     # full linear convolution has length 3n - 2 per axis
     fshape = tuple(_fast_len(3 * n - 2) for n in shape)
-    mesh = np.meshgrid(*[np.arange(-(n - 1), n) * h + o
-                         for n, h, o in zip(shape, spacing, offset)],
-                       indexing="ij")
+    mesh = np.meshgrid(*[np.arange(-(n - 1), n) * h
+                         for n, h in zip(shape, spacing)], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     plan = (const, np.array([ks[p].amplitude for p in const]), js[const],
             rest, js[rest], np.array([np.fft.rfftn(ks[p].evaluate_batch(
@@ -375,21 +373,17 @@ def _batch_plan(ks: tuple, js: tuple, shape: tuple, spacing: tuple,
                                           for n in shape))
 
 
-def convolve_field_grid(k, u: GridField, species, offset=None) -> np.ndarray:
-    """Whole-grid convolution, same quadrature as convolve_field.
-
-    Values are taken at the cell centres shifted by offset (a d-vector,
-    zero by default).  Equal-length sequences k and species give the stack
+def convolve_field_grid(k, u: GridField, species) -> np.ndarray:
+    """Whole-grid convolution, same quadrature as convolve_field, at every
+    cell centre.  Equal-length sequences k and species give the stack
     (P, *shape) of k[p] * u^species[p]: one forward FFT of every species and
     one inverse FFT of the stack, zero-padded, through a cached batch
-    plan.  Its test oracle is convolve_field at u.centers() + offset.
+    plan.  Its test oracle is convolve_field at u.centers().
     """
     single = isinstance(k, KernelSpec)
     ks, js = ((k,), (species,)) if single else (tuple(k), tuple(species))
-    offset = (0.0,) * u.dim if offset is None else \
-        tuple(np.asarray(offset, dtype=float).reshape(u.dim).tolist())
     const, amps, const_js, rest, rest_js, spectra, fshape, crop = \
-        _batch_plan(ks, js, u.shape, tuple(u.spacing.tolist()), offset)
+        _batch_plan(ks, js, u.shape, tuple(u.spacing.tolist()))
     out = np.empty((len(ks),) + u.shape)
     if const.size:
         out[const] = (amps * u.mass()[const_js]).reshape((-1,) + (1,) * u.dim)

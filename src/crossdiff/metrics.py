@@ -10,18 +10,19 @@ a Lipschitz cap `a` and a sup cap `b` (a + b <= 1) as explicit variables:
 
 Any feasible phi extends to all of R^d with the same Lipschitz constant
 (McShane) and sup (clipping), so on the support the LP is exact when the
-pair set is complete.  In d = 1 adjacent pairs of the sorted support are
-complete, and the LP value is returned.
+pair set is complete.  In d = 1 the LP starts from the adjacent pairs of
+the sorted support, which are complete, so its first solve closes the gap
+below.  In higher dimension it starts from each point's 4 nearest
+neighbours and every pair within 1.5 median nearest-neighbour distances (on
+a lattice, the 8-point stencil and one 2-step pair per corner); nothing is
+random, so the engine takes no seed.
 
-In higher dimension the LP starts from each point's 4 nearest neighbours
-and every pair within 1.5 median nearest-neighbour distances (on a lattice,
-the 8-point stencil and one 2-step pair per corner); nothing is random, so
-the engine takes no seed.  Its value on a partial pair set is an upper
-bound UB.  The McShane extensions of its phi, min_w [phi(w) + a|z - w|]
-and max_w [phi(w) - a|z - w|], with (phi, a, b) divided by max(1, a + b)
-and clipped to [-b, b], are exactly feasible, so the better of the two
-gives a lower bound LB (McShane, Bull. AMS 40, 1934).  Violated pairs are
-added (cutting planes) only while the duality gap UB - LB exceeds
+In every dimension the LP's value on its pair set is an upper bound UB.
+The McShane extensions of its phi, min_w [phi(w) + a|z - w|] and
+max_w [phi(w) - a|z - w|], with (phi, a, b) divided by max(1, a + b) and
+clipped to [-b, b], are exactly feasible, so the better of the two gives a
+lower bound LB (McShane, Bull. AMS 40, 1934).  Violated pairs are added
+(cutting planes) only while the duality gap UB - LB exceeds
 GAP_TOL * ||eta||_1 (Kelley, J. SIAM 8, 1960); the value returned is LB,
 and the certificate phi is that extension, which is feasible and attains
 it.  A gap still open after CUT_ROUNDS rounds, or after a round that finds
@@ -31,8 +32,8 @@ A_ub stacks the pair incidence matrix D (+1, -1 per pair) over -D, each
 beside the column -|z_i - z_j| of a, then +-I beside the column -1 of b,
 then the budget row.  The exhaustive scans read the support's distances
 through grids.pair_r2 in blocks of PAIR_CHUNK pairs.  Every certificate
-records ub, lb and the rounds.  In d = 1 lb only checks the LP solver.
-scipy (HiGHS, sparse matrices, k-d trees) is imported by the first solve.
+records ub, lb and the rounds.  scipy (HiGHS, sparse matrices, k-d trees)
+is imported by the first solve.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _solve_lp(points, eta, pairs):
 
 
 def _exact_lp(points, eta) -> BLResult:
-    n, d = points.shape
+    n = points.shape[0]
     if n > EXACT_LP_LIMIT:
         raise ValueError(f"support size {n} exceeds exact-lp limit")
     pairs = _pair_set(points)
@@ -181,18 +182,15 @@ def _exact_lp(points, eta) -> BLResult:
             pairs = grown
         ub, phi, a, b = _solve_lp(points, eta, pairs)
         lb, *test = _lower_bound(points, eta, phi, a, b)
-        if d == 1 or ub - lb <= tol:
+        if ub - lb <= tol:
             break
     else:
         raise BLError(f"BL duality gap still open after {CUT_ROUNDS} "
                       f"cutting-plane rounds")
-    if d == 1:    # the sorted pair set is complete: keep the LP optimum
-        value = ub
-    else:         # the lower bound, with the test function that attains it
-        value, (phi, a, b) = lb, test
+    phi, a, b = test     # the test function that attains lb
     cert = {"points": points, "phi": phi, "lip_budget": a, "sup_budget": b,
             "ub": ub, "lb": lb, "rounds": rounds}
-    return BLResult(max(value, 0.0), cert)
+    return BLResult(max(lb, 0.0), cert)
 
 
 def _lower_bound(points, eta, phi, a, b):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from _coefficients import CallableCoefficients, synthetic_coeffs
 
-from crossdiff import flow
+from crossdiff import flow, kernels
 from crossdiff.config import (build_initial, build_model, grid_box,
                               solver_params)
 from crossdiff.flow import (ConvolutionTable, FlowError, FrozenCoefficients,
@@ -510,6 +510,45 @@ def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
         for s, w in weights:
             ref += w * read(s)
         np.testing.assert_allclose(table(weights, X), ref, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "compact-bump"])
+@pytest.mark.parametrize("shape,r,pad", [((40,), [3], [4]),
+                                         ((8, 6), [3, 2], [2, 3])])
+def test_table_lattice_is_one_grid_convolution_per_snapshot(
+        monkeypatch, family, shape, r, pad):
+    # three snapshots of species 1 of 2: every lattice value, the
+    # padding's included, is the direct quadrature of convolve_field at
+    # its node, and the whole build adds one batch plan
+    rng = np.random.default_rng(len(shape))
+    d = len(shape)
+    fields = [GridField(-np.ones(d), np.ones(d), rng.random((2, *shape)))
+              for _ in range(3)]
+    k = KernelSpec(family, d, bandwidth=0.3)
+    built, fit = [], flow._not_a_knot_pp
+
+    def recorded(x, y):
+        built.append(y)
+        return fit(x, y)
+    monkeypatch.setattr(flow, "_not_a_knot_pp", recorded)
+    before = kernels._batch_plan.cache_info()
+    table = ConvolutionTable(k, fields, 1, np.array(r), np.array(pad))
+    after = kernels._batch_plan.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+    # the first sub-cell centre of every PDE cell is its centre
+    for a, x in enumerate(table.axes):
+        assert x.size == r[a] * (shape[a] + 2 * pad[a])
+        np.testing.assert_allclose(x[r[a] * pad[a]::r[a]][:shape[a]],
+                                   fields[0].axis_centers(a),
+                                   rtol=0, atol=1e-14)
+    sizes = [x.size for x in table.axes]
+    values = np.moveaxis(built[0].reshape([3] + sizes[1:] + sizes[:1]),
+                         -1, 1)
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*table.axes,
+                                                      indexing="ij")], axis=-1)
+    for v, u in zip(values, fields):
+        np.testing.assert_allclose(v.ravel(), convolve_field(k, u, 1, nodes),
+                                   rtol=1e-8, atol=1e-12)
 
 
 def test_table_rejects_nonuniform_lattice(monkeypatch):

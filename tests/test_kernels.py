@@ -280,10 +280,10 @@ def test_convolve_field_gaussian_oracle():
     assert got == pytest.approx(expect, rel=1e-4)
 
 
-def _direct_grid(k, u, j, offset=0.0):
-    """The O(n^2) oracle of convolve_field_grid: convolve_field at the
-    shifted cell centres."""
-    return convolve_field(k, u, j, u.centers() + offset).reshape(u.shape)
+def _direct_grid(k, u, j):
+    """The O(n^2) oracle of convolve_field_grid: convolve_field at the cell
+    centres."""
+    return convolve_field(k, u, j, u.centers()).reshape(u.shape)
 
 
 def test_convolve_field_grid_matches_direct():
@@ -330,18 +330,16 @@ def test_fast_len_equals_scipy_next_fast_len():
 
 @pytest.mark.parametrize("shape", [(128,), (12, 12), (36, 36)])
 def test_grid_convolution_bit_equal_to_scipy_fft(shape):
-    # M = 2 species, P = 4 kernels, a sub-cell offset: the numpy route of
-    # the batch plan against the same plan run through scipy.fft
+    # M = 2 species, P = 4 kernels: the numpy route of the batch plan
+    # against the same plan run through scipy.fft
     from scipy import fft
     rng = np.random.default_rng(sum(shape))
     d = len(shape)
     u = GridField(-np.ones(d), np.ones(d), rng.random((2, *shape)), 0.0)
-    offset = np.array([0.37, -0.21][:d]) * u.spacing
     g, b, t, _ = _mixed_kernels(d)
     ks, js = (g, b, t, KernelSpec("gaussian", d, bandwidth=0.15)), (1, 0, 0, 1)
     fshape = tuple(fft.next_fast_len(3 * n - 2, real=True) for n in shape)
-    offs = [np.arange(-(n - 1), n) * h + o
-            for n, h, o in zip(shape, u.spacing, offset)]
+    offs = [np.arange(-(n - 1), n) * h for n, h in zip(shape, u.spacing)]
     pts = np.stack([m.ravel() for m in np.meshgrid(*offs, indexing="ij")],
                    axis=-1)
     spectra = np.array([fft.rfftn(k.evaluate_batch(pts).reshape(
@@ -351,7 +349,7 @@ def test_grid_convolution_bit_equal_to_scipy_fft(shape):
                       * spectra, fshape, axes=axes)
     crop = (...,) + tuple(slice(n - 1, 2 * n - 1) for n in shape)
     ref = np.maximum(conv[crop] * u.cell_volume, 0.0)
-    assert np.array_equal(convolve_field_grid(ks, u, js, offset=offset), ref)
+    assert np.array_equal(convolve_field_grid(ks, u, js), ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -364,20 +362,6 @@ def test_bump_norm_matches_adaptive_quadrature(dim):
         ref, _ = integrate.quad(lambda r: 2.0 * math.pi * r * prof(r),
                                 0.0, 1.0)
     assert kernels._bump_norm(dim) == pytest.approx(ref, rel=1e-14, abs=0)
-
-
-@pytest.mark.parametrize("family", ["gaussian", "compact-bump"])
-@pytest.mark.parametrize("shape,offset", [((64,), (0.013,)),
-                                          ((24, 24), (0.02, -0.035))])
-def test_convolve_field_grid_offset_matches_direct(family, shape, offset):
-    rng = np.random.default_rng(5)
-    d = len(shape)
-    u = GridField(-np.ones(d), np.ones(d), rng.random((1, *shape)), 0.0)
-    k = KernelSpec(family, d, bandwidth=0.3)
-    np.testing.assert_allclose(
-        convolve_field_grid(k, u, 0, offset=offset),
-        _direct_grid(k, u, 0, offset),
-        rtol=1e-8, atol=1e-12)
 
 
 def test_spectrum_cache_bit_equal_to_fresh():
@@ -414,25 +398,24 @@ def test_spectrum_cache_thread_safe():
 
 
 def test_batch_plan_cache_keys_never_share_entries():
-    # another kernel order, species list, grid or offset is a new plan;
-    # every warm result equals a cold-cache computation bit for bit
+    # another kernel order, species list or grid is a new plan; every warm
+    # result equals a cold-cache computation bit for bit
     rng = np.random.default_rng(10)
     g = KernelSpec("gaussian", 1, bandwidth=0.3)
     b = KernelSpec("compact-bump", 1, bandwidth=0.4)
     c = KernelSpec("constant", 1, amplitude=0.7)
     u = GridField([-2.0], [2.0], rng.random((2, 64)), 0.0)
-    calls = [((g, b, c), (0, 1, 0), u, None),
-             ((c, b, g), (0, 1, 0), u, None),        # kernels reordered
-             ((g, b, c), (1, 0, 1), u, None),        # other species
-             ((g, b, c), (0, 1, 0),                  # other shape
-              GridField([-2.0], [2.0], rng.random((2, 48)), 0.0), None),
-             ((g, b, c), (0, 1, 0),                  # other spacing
-              GridField([-3.0], [3.0], u.values, 0.0), None),
-             ((g, b, c), (0, 1, 0), u, [0.01])]      # other offset
+    calls = [((g, b, c), (0, 1, 0), u),
+             ((c, b, g), (0, 1, 0), u),        # kernels reordered
+             ((g, b, c), (1, 0, 1), u),        # other species
+             ((g, b, c), (0, 1, 0),            # other shape
+              GridField([-2.0], [2.0], rng.random((2, 48)), 0.0)),
+             ((g, b, c), (0, 1, 0),            # other spacing
+              GridField([-3.0], [3.0], u.values, 0.0))]
     kernels._batch_plan.cache_clear()
     warm = []
-    for n, (ks, js, v, off) in enumerate(calls):
-        warm.append(convolve_field_grid(ks, v, js, offset=off))
+    for n, (ks, js, v) in enumerate(calls):
+        warm.append(convolve_field_grid(ks, v, js))
         info = kernels._batch_plan.cache_info()
         assert (info.misses, info.hits, info.currsize) == (n + 1, 0, n + 1)
     # a shifted box with the same shape and spacing shares the plan
@@ -440,12 +423,11 @@ def test_batch_plan_cache_keys_never_share_entries():
     assert np.array_equal(convolve_field_grid(calls[0][0], shifted, (0, 1, 0)),
                           warm[0])
     assert kernels._batch_plan.cache_info().hits == 1
-    for (ks, js, v, off), got in zip(calls, warm):
+    for (ks, js, v), got in zip(calls, warm):
         kernels._batch_plan.cache_clear()
-        assert np.array_equal(got, convolve_field_grid(ks, v, js, offset=off))
+        assert np.array_equal(got, convolve_field_grid(ks, v, js))
         for p, (k, j) in enumerate(zip(ks, js)):
-            assert np.array_equal(got[p],
-                                  convolve_field_grid(k, v, j, offset=off))
+            assert np.array_equal(got[p], convolve_field_grid(k, v, j))
     assert np.array_equal(warm[1], warm[0][::-1])
 
 
@@ -463,22 +445,23 @@ def _mixed_kernels(d):
 def test_batched_grid_convolution_equals_pairwise(shape, shifted, reference):
     # M = 3 species, every kernel family in one call, species repeated and
     # out of order, kernel objects used more than once; the reference is
-    # pair-by-pair calls (bit for bit) or the direct oracle (to 1e-8)
+    # pair-by-pair calls (bit for bit) or the direct oracle (to 1e-8).  A
+    # shifted box moves its corner off the round numbers by 0.3 cells, as
+    # the frozen flow's table lattices are
     rng = np.random.default_rng(8)
     d = len(shape)
-    u = GridField(-np.ones(d), np.ones(d), rng.random((3, *shape)), 0.0)
-    offset = 0.3 * u.spacing * (-1.0) ** np.arange(d) * shifted
+    shift = 0.3 * 2.0 / np.array(shape) * (-1.0) ** np.arange(d) * shifted
+    u = GridField(shift - 1.0, shift + 1.0, rng.random((3, *shape)), 0.0)
     g, b, t, c = _mixed_kernels(d)
     ks = [g, b, t, c, g, c, t, b, g]
     js = [0, 2, 1, 1, 2, 0, 0, 0, 0]
-    got = convolve_field_grid(ks, u, js, offset=offset)
+    got = convolve_field_grid(ks, u, js)
     assert got.shape == (len(ks),) + shape
     for p, (k, j) in enumerate(zip(ks, js)):
         if reference == "fft":
-            assert np.array_equal(
-                got[p], convolve_field_grid(k, u, j, offset=offset)), p
+            assert np.array_equal(got[p], convolve_field_grid(k, u, j)), p
         else:
-            np.testing.assert_allclose(got[p], _direct_grid(k, u, j, offset),
+            np.testing.assert_allclose(got[p], _direct_grid(k, u, j),
                                        rtol=1e-8, atol=1e-12)
     # constant kernels give amplitude x mass
     assert np.all(got[3] == 0.7 * u.mass(1))

@@ -276,16 +276,16 @@ def test_one_d_extensions_sweep_matches_scan():
                                rtol=0, atol=1e-14)
 
 
-def test_one_d_returns_the_lp_value_and_records_bounds():
+def test_one_d_returns_the_certified_lower_bound():
+    # the sorted adjacent pairs are complete, so the first LP closes the gap
     rng = np.random.default_rng(4)
     mu = dm(rng.normal(size=(40, 1)), rng.uniform(0, 1, 40))
     nu = dm(rng.normal(size=(30, 1)), rng.uniform(0, 1, 30))
     res = bl_distance(mu, nu)
     c = res.certificate
-    points, eta = M._signed_union(mu, nu)
-    assert res.value == c["ub"] == eta @ c["phi"]
+    assert res.value == c["lb"]
+    assert_certificate_exact(res, M._signed_union(mu, nu)[1])
     assert c["rounds"] == 0
-    assert abs(c["ub"] - c["lb"]) <= M.GAP_TOL * np.abs(eta).sum()
 
 
 measures_2d = st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
