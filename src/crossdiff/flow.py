@@ -164,30 +164,29 @@ class ConvolutionTable:
                    for v, step in zip(inner, self.step)):
             raise ValueError("table needs uniform interior breakpoints")
 
-    def inside(self, X: np.ndarray) -> np.ndarray:
-        """Mask of the query points the lattice covers."""
-        return np.all([(X[:, a] >= ax[0]) & (X[:, a] <= ax[-1])
-                       for a, ax in enumerate(self.axes)], axis=0)
-
-    def __call__(self, weights: list, X: np.ndarray) -> np.ndarray:
-        """sum_s w_s (k * u^s)(X) over the (snapshot, weight) pairs of a
-        time blend, for points the lattice covers: the blend is of the pp
-        coefficients, read by cell index and Horner's rule on every axis."""
+    def __call__(self, weights: list, X: np.ndarray) -> tuple:
+        """(sum_s w_s (k * u^s)(X), covered) over the (snapshot, weight)
+        pairs of a time blend, read by cell index and Horner's rule on every
+        axis from the blended pp coefficients; covered marks the points
+        inside the lattice, and the values elsewhere carry no meaning."""
         c = sum(w * self.coef[:, s] for s, w in weights)
-        n, dxs = X.shape[0], []
+        n, dxs, covered = X.shape[0], [], True
         for a, (brk, step) in enumerate(zip(self.brk, self.step)):
-            # the clip folds the double-width end intervals into the first
-            # and last; a point within rounding of a breakpoint may take
-            # the neighbouring piece, which matches it there to rounding
-            i = np.floor((X[:, a] - brk[1]) / step).astype(np.intp) + 1
-            np.clip(i, 0, brk.size - 2, out=i)
-            dxs.append(X[:, a] - brk[i])
+            x = X[:, a]
+            covered = covered & (x >= brk[0]) & (x <= brk[-1])
+            # clamping the cell index folds the double-width end intervals
+            # into the first and last and keeps far and NaN coordinates in
+            # range of the cast; a point within rounding of a breakpoint may
+            # take the neighbouring piece, which matches it there to rounding
+            i = np.fmin(np.fmax(np.floor((x - brk[1]) / step), -1.0),
+                        brk.size - 3).astype(np.intp) + 1
+            dxs.append(x - brk[i])
             flat = i if a == 0 else flat * (brk.size - 1) + i
         c = np.take(c, flat, axis=1)
         for a, dx in enumerate(dxs):
             c = c.reshape(4 ** (len(dxs) - 1 - a), 4, n)
             c = ((c[:, 0] * dx + c[:, 1]) * dx + c[:, 2]) * dx + c[:, 3]
-        return c[0]
+        return c[0], covered
 
 
 class FrozenCoefficients:
@@ -204,7 +203,6 @@ class FrozenCoefficients:
                  mode: str):
         self.model = model
         self.mode = mode     # the PDE's competition: "kernel" or "local"
-        self.noise_scale = model.noise_scale
         self.times = np.asarray(times, float)
         self.fields = fields
         self.tables = {}     # (kernel, species j) -> ConvolutionTable
@@ -261,13 +259,10 @@ class FrozenCoefficients:
         table = self.tables.get((k, j))
         if table is None:
             return convolve_field(k, self._field_at(t), j, X)
-        weights = self._time_weights(t)
-        inside = table.inside(X)
-        if inside.all():
-            return table(weights, X)
-        out = np.empty(X.shape[0])
-        out[inside] = table(weights, X[inside])
-        out[~inside] = convolve_field(k, self._field_at(t), j, X[~inside])
+        out, covered = table(self._time_weights(t), X)
+        if not covered.all():
+            out[~covered] = convolve_field(k, self._field_at(t), j,
+                                           X[~covered])
         return out
 
     def _v_args(self, kmat, i: int, t: float, X: np.ndarray) -> np.ndarray:
@@ -276,7 +271,7 @@ class FrozenCoefficients:
 
     def sigma_eff(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        return self.noise_scale * self.model.eval_sigma(
+        return self.model.noise_scale * self.model.eval_sigma(
             i, X, self._v_args(self.model.G, i, t, X))
 
     def drift(self, i: int, t: float, X: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from . import rng as rngs
 from .initial import InitialCondition
 from .kernels import EmpiricalMeasure, convolve_empirical
-from .model import CoefficientModel
+from .model import CoefficientModel, density_free_value
 from .pde import snapshot_steps
 
 
@@ -119,13 +119,17 @@ def sample_initial(init_specs: list, K: int,
     return PopulationState(species, K, 0.0)
 
 
-def _row_fields(kmat, measures: list, i: int, x: np.ndarray) -> np.ndarray:
-    """(n, M) array of (k^ij * nu^j)(x) over the step-start measures nu^j.
+def _row_fields(kmat, measures: list, i: int, x: np.ndarray,
+                fn=None) -> np.ndarray:
+    """(n, M) array of (k^ij * nu^j)(x) over the step-start measures nu^j,
+    zeros when fn, the sigma or drift that reads it, is marked density_free.
 
     Passing x = nu^i.atoms itself marks the j = i column as a
     self-interaction, which the gridded sum evaluates with one factor pass.
     """
     out = np.zeros((x.shape[0], len(measures)))
+    if getattr(fn, "density_free", False):
+        return out
     for j, nu in enumerate(measures):
         out[:, j] = convolve_empirical(kmat[i][j], nu, x)
     return out
@@ -143,8 +147,10 @@ def step_diffuse(state: PopulationState, model: CoefficientModel, dt: float,
         if x.shape[0] == 0:
             new_species.append(state.species[i].copy())
             continue
-        b = model.eval_drift(i, x, _row_fields(model.H, measures, i, x))
-        s = model.eval_sigma(i, x, _row_fields(model.G, measures, i, x))
+        b = model.eval_drift(i, x, _row_fields(model.H, measures, i, x,
+                                               model.drift_fns[i]))
+        s = model.eval_sigma(i, x, _row_fields(model.G, measures, i, x,
+                                               model.sigma_fns[i]))
         xi = rng.standard_normal(x.shape)
         move = b * dt + model.noise_scale * math.sqrt(dt) * \
             np.einsum("nkl,nl->nk", s, xi)
@@ -261,6 +267,14 @@ def simulate(model: CoefficientModel, init_specs: list,
     drew, and its deaths close the balance of its particle counts."""
     state = sample_initial(init_specs, params.K,
                            rngs.stream(params.seed, rngs.INIT))
+    # step_diffuse trusts the density-free marks; they are spot-checked
+    # here at the initial particles, as the PDE checks them at its cells
+    for i, x in enumerate(sp.positions for sp in state.species):
+        for name in ("sigma", "drift"):
+            ev = getattr(model, f"eval_{name}")
+            density_free_value(lambda v: (ev(i, x, v),),
+                               getattr(model, f"{name}_fns")[i:i + 1], name,
+                               np.zeros((x.shape[0], model.M)))
     counts, next_id = state.counts(), state.next_id.copy()
     snap_steps = snapshot_steps(params.snapshot_times, params.dt)
     snapshots = [(0.0, state.copy())] if 0 in snap_steps else []

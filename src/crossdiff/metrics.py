@@ -88,7 +88,7 @@ class BLResult:
 # support assembly
 
 def _signed_union(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Merged support of mu - nu with duplicate points combined."""
+    """Lexicographically sorted support of mu - nu, duplicates combined."""
     if mu.points.shape[1] != nu.points.shape[1]:
         raise ValueError("measures live in different dimensions")
     uniq, inverse = np.unique(np.vstack([mu.points, nu.points]), axis=0,
@@ -99,8 +99,6 @@ def _signed_union(mu: DiscreteMeasure, nu: DiscreteMeasure):
     np.add.at(emu, inverse[:n], mu.weights)
     np.add.at(enu, inverse[n:], nu.weights)
     eta = emu - enu
-    order = np.lexsort(uniq.T[::-1])
-    uniq, eta = uniq[order], eta[order]
     # canonical sign so bl(mu, nu) and bl(nu, mu) run bit-identically
     nz = np.nonzero(np.abs(eta) > 0)[0]
     if nz.size and eta[nz[0]] < 0:

@@ -88,9 +88,24 @@ class CoefficientModel:
 
 def density_free(fn):
     """Mark a sigma or drift fn(x, v) as ignoring v, the convolved densities,
-    so that the PDE evaluates it once per solve (see pde._once)."""
+    so that the PDE evaluates it once per solve and the IBM convolves
+    nothing for it (see density_free_value)."""
     fn.density_free = True
     return fn
+
+
+def density_free_value(coefficient, fns, name: str, zero):
+    """coefficient(zero), a tuple led by the values, when every fn in fns
+    is marked density_free, else None.  The values must equal those at
+    v = j + 1 in column j, a spot check of the marks, or ValueError names
+    the set."""
+    if not all(getattr(fn, "density_free", False) for fn in fns):
+        return None
+    at0 = coefficient(zero)
+    if not np.array_equal(at0[0], coefficient(
+            zero + np.arange(1.0, zero.shape[-1] + 1))[0]):
+        raise ValueError(f"a {name} marked density_free reads v")
+    return at0
 
 
 def diffusion_matrix(model: CoefficientModel, i: int, x, v) -> np.ndarray:

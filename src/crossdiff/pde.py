@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import GridField
 from .kernels import convolve_field_grid
-from .model import CoefficientModel, diffusion_matrix
+from .model import CoefficientModel, density_free_value, diffusion_matrix
 
 
 # bound on dt times each stability rate, and on the boundary mass fraction
@@ -109,7 +109,7 @@ def _d2_cross(F: np.ndarray, hx: float, hy: float) -> np.ndarray:
 # shape, lo, hi), the kernel and species tuples of the batched convolution,
 # the cell centres, spacing h, cell volume, min(h)^2, the growth rates r_i at
 # the centres, (M, n_cells), since growth functions depend on x only, and
-# _sigma and _drift there when density-free (see _once), else None.
+# _sigma and _drift there when density-free, else None.
 _StepPlan = namedtuple("_StepPlan",
                        "model mode grid ks js pts h vol h2 growth a b")
 
@@ -126,19 +126,6 @@ def _drift(model: CoefficientModel, pts, h, v):
     """b (M, n_cells, d) and max_k max|b_k| / h_k; as _sigma, H for G."""
     b = np.array([model.eval_drift(i, pts, v[i]) for i in range(model.M)])
     return b, float((np.abs(b) / h).max())
-
-
-def _once(coefficient, fns, name: str, zero):
-    """coefficient(zero) when every fn in fns is marked density_free, else
-    None.  It must equal coefficient at v = j + 1 in column j, a spot check
-    of the marks, or ValueError names the set."""
-    if not all(getattr(fn, "density_free", False) for fn in fns):
-        return None
-    at0 = coefficient(zero)
-    if not np.array_equal(at0[0], coefficient(
-            zero + np.arange(1.0, zero.shape[-1] + 1))[0]):
-        raise ValueError(f"a {name} marked density_free reads v")
-    return at0
 
 
 def _plan(u: GridField, model: CoefficientModel, mode: str,
@@ -158,9 +145,10 @@ def _plan(u: GridField, model: CoefficientModel, mode: str,
     if mode == "local" and model.comp is None:
         raise ValueError("local mode needs competition constants")
     pts, h, zero = u.centers(), u.spacing, np.zeros((M, u.values[0].size, M))
-    a = _once(lambda v: _sigma(model, pts, v), model.sigma_fns, "sigma", zero)
-    b = _once(lambda v: _drift(model, pts, h, v), model.drift_fns, "drift",
-              zero)
+    a = density_free_value(lambda v: _sigma(model, pts, v), model.sigma_fns,
+                           "sigma", zero)
+    b = density_free_value(lambda v: _drift(model, pts, h, v),
+                           model.drift_fns, "drift", zero)
     # one batched convolution for every pair of G, H and (kernel mode) C,
     # less the matrices of a planned a or b
     mats = [model.G] * (a is None) + [model.H] * (b is None) + (

@@ -200,7 +200,7 @@ def test_inverse_flow_equals_nested_central_differences(case):
             m, t, dt, c = _gaussian_G_flow(0.05)
             k = m.G[0][0]
         y = np.array([[-0.4], [0.0], [0.9], [-9.5], [11.0]])
-        assert not c.tables[(k, 0)].inside(y[3:]).any()
+        assert not c.tables[(k, 0)]([(0, 1.0)], y[3:])[1].any()
     inv = inverse_flow(c, 0, t, y, dt, np.random.default_rng(17))
     ref = _reference_inverse_flow(c, 0, t, y, inv.increments)
     for got, want in zip((inv.paths, inv.jacobians, inv.det_matrix,
@@ -509,7 +509,9 @@ def test_table_reads_equal_per_snapshot_splines(monkeypatch, cells, dim):
         ref = np.zeros(X.shape[0])
         for s, w in weights:
             ref += w * read(s)
-        np.testing.assert_allclose(table(weights, X), ref, rtol=0, atol=tol)
+        values, covered = table(weights, X)
+        assert covered.all()
+        np.testing.assert_allclose(values, ref, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "compact-bump"])
@@ -572,14 +574,69 @@ def test_table_rejects_nonuniform_lattice(monkeypatch):
 
 @pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2)])
 def test_table_reads_no_points(cells, dim):
-    # convolved reads a table with no points when none is inside
+    # a read of no points, as of an empty batch of paths, gives no values
     m, sol = _table_case("gaussian", cells, dim, 0.6)
     fields = list(sol.snapshots)
     k = m.C[0][0]
     table = ConvolutionTable(k, fields, 0, *_lattice(k, fields))
     X = np.zeros((0, dim))
-    assert table([(0, 1.0)], X).shape == (0,)
-    assert table([(0, 0.4), (1, 0.6)], X).shape == (0,)
+    for weights in ([(0, 1.0)], [(0, 0.4), (1, 0.6)]):
+        values, covered = table(weights, X)
+        assert values.shape == covered.shape == (0,)
+
+
+@pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2)])
+def test_table_covered_is_the_lattice_box(cells, dim):
+    # covered is x[0] <= X <= x[-1] on every lattice axis, exactly at both
+    # ends and one ulp beyond them; far and NaN coordinates are uncovered
+    # and read without a warning (warnings are errors here), finite where
+    # the coordinates are
+    m, sol = _table_case("gaussian", cells, dim, 0.6)
+    fields = list(sol.snapshots)
+    k = m.C[0][0]
+    table = ConvolutionTable(k, fields, 0, *_lattice(k, fields))
+    ends = [np.array([x[0], np.nextafter(x[0], -np.inf), x[-1],
+                      np.nextafter(x[-1], np.inf), x[0] - 1e6, x[-1] + 1e6,
+                      np.nan, 0.5 * (x[0] + x[-1])]) for x in table.axes]
+    X = np.array(list(itertools.product(*ends)))
+    values, covered = table([(0, 0.4), (1, 0.6)], X)
+    assert np.array_equal(covered, np.all(
+        [(X[:, a] >= x[0]) & (X[:, a] <= x[-1])
+         for a, x in enumerate(table.axes)], axis=0))
+    assert covered.sum() == 3 ** dim
+    assert np.isfinite(values[np.isfinite(X).all(axis=1)]).all()
+
+
+@pytest.mark.parametrize("cells,dim", [(128, 1), (12, 2)])
+def test_convolved_reads_each_batch_once(monkeypatch, cells, dim):
+    # a mixed batch: the covered values equal reads of one point at a time
+    # bit for bit, the others one convolve_field call on those points; an
+    # all-covered batch makes no convolve_field call
+    m, sol = _table_case("gaussian", cells, dim, 0.6)
+    coeffs = FrozenCoefficients.from_pde(m, sol)
+    k, t = m.C[0][0], 0.013
+    table, weights = coeffs.tables[(k, 0)], coeffs._time_weights(t)
+    calls = []
+
+    def recorded(k, u, j, X):
+        calls.append(X)
+        return convolve_field(k, u, j, X)
+    monkeypatch.setattr(flow, "convolve_field", recorded)
+    rng = np.random.default_rng(dim)
+    X = rng.uniform(-1.3, 1.3, (60, dim)) * table.axes[0][-1]
+    reads = [table(weights, x[None]) for x in X]
+    out = np.array([values[0] for values, _ in reads])
+    covered = np.array([inside[0] for _, inside in reads])
+    assert 0 < covered.sum() < X.shape[0]
+    got = coeffs.convolved(k, 0, t, X)
+    assert len(calls) == 1 and np.array_equal(calls[0], X[~covered])
+    assert np.array_equal(got[covered], out[covered])
+    assert np.array_equal(got[~covered], convolve_field(
+        k, coeffs._field_at(t), 0, X[~covered]))
+    calls.clear()
+    assert np.array_equal(coeffs.convolved(k, 0, t, X[covered]),
+                          out[covered])
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [4, 5, 40, 364])

@@ -12,7 +12,7 @@ from crossdiff.ibm import (PopulationState, SimParams, SimulationError,
                            step_diffuse)
 from crossdiff.initial import InitialCondition
 from crossdiff.kernels import KernelSpec
-from crossdiff.model import builtin_model
+from crossdiff.model import builtin_model, density_free
 
 
 def const_kernels(M, d, amp=1.0):
@@ -107,6 +107,53 @@ def test_steps_evaluate_self_interaction_with_one_factor_pass(monkeypatch,
                     m, 0.05, np.random.default_rng(1))
     assert len(sums) >= 2 and all(sums)
     assert sum(points) == n * len(sums)
+
+
+def _two_species_attraction(H="gaussian"):
+    return build_model({"model": {
+        "M": 2, "dim": 1, "family": "attraction-drift",
+        "params": {"sigma0": 0.3, "alpha": 0.4},
+        "kernels": {"G": {"family": "gaussian", "bandwidth": 0.4},
+                    "H": {"family": H, "bandwidth": 0.4}}}})
+
+
+def test_marked_coefficients_convolve_nothing_and_move_bit_equal(monkeypatch):
+    # attraction-drift marks its sigma and drift density_free: a step reads
+    # no G or H, and moves every particle as the unmarked functions do
+    import crossdiff.ibm as ibm_mod
+    calls, convolve = [], ibm_mod.convolve_empirical
+
+    def counted(*args):
+        calls.append(args[0])
+        return convolve(*args)
+    monkeypatch.setattr(ibm_mod, "convolve_empirical", counted)
+    st = sample_initial([InitialCondition(0.5, "gaussian", std=0.6)] * 2,
+                        200, np.random.default_rng(0))
+    moved = []
+    for marked in (True, False):
+        m = _two_species_attraction()
+        if not marked:
+            m.sigma_fns = [lambda x, v, fn=fn: fn(x, v) for fn in m.sigma_fns]
+            m.drift_fns = [lambda x, v, fn=fn: fn(x, v) for fn in m.drift_fns]
+        calls.clear()
+        moved.append(step_diffuse(st, m, 0.05, np.random.default_rng(1)))
+        assert len(calls) == (0 if marked else 2 * m.M ** 2)
+    for a, b in zip(*(s.species for s in moved)):
+        assert np.array_equal(a.positions, b.positions)
+
+
+@pytest.mark.parametrize("scheme", ["splitting", "thinned-events"])
+@pytest.mark.parametrize("name", ["sigma", "drift"])
+def test_mislabeled_density_free_coefficient_raises_in_simulate(name, scheme):
+    # species 1's sigma or drift reads its convolution but carries the mark
+    m = _two_species_attraction(H="constant")
+    getattr(m, f"{name}_fns")[1] = density_free(
+        lambda x, v: 0.3 + 0.1 * v[:, :1, None] if name == "sigma"
+        else -0.3 * v[:, :1] * x)
+    init = [InitialCondition(0.5, "gaussian", std=0.6)] * 2
+    with pytest.raises(ValueError, match=f"a {name} marked density_free"):
+        simulate(m, init, SimParams(t_end=0.1, dt=0.05, K=50,
+                                    scheme=scheme))
 
 
 def test_competition_only_mass_nonincreasing():
