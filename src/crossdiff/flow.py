@@ -143,7 +143,7 @@ class ConvolutionTable:
         values = np.empty((len(fields), *shape))
         for s, u in enumerate(fields):
             lattice.values[nodes] = u.values[j] * np.prod(r)
-            values[s] = convolve_field_grid(k, lattice, 0)
+            values[s] = convolve_field_grid((k,), lattice, (0,))[0]
         # the tensor-product spline, one lattice axis at a time: each fit
         # puts its 4 coefficients first and its pieces last
         self.coef = np.empty((4 ** g.dim, len(fields),

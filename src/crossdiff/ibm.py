@@ -265,6 +265,8 @@ def simulate(model: CoefficientModel, init_specs: list,
 
     Only a birth draws a new id, so the births of a species are the ids it
     drew, and its deaths close the balance of its particle counts."""
+    n_steps, snap_steps = snapshot_steps(params.t_end, params.snapshot_times,
+                                         params.dt)
     state = sample_initial(init_specs, params.K,
                            rngs.stream(params.seed, rngs.INIT))
     # step_diffuse trusts the density-free marks; they are spot-checked
@@ -276,9 +278,8 @@ def simulate(model: CoefficientModel, init_specs: list,
                                getattr(model, f"{name}_fns")[i:i + 1], name,
                                np.zeros((x.shape[0], model.M)))
     counts, next_id = state.counts(), state.next_id.copy()
-    snap_steps = snapshot_steps(params.snapshot_times, params.dt)
     snapshots = [(0.0, state.copy())] if 0 in snap_steps else []
-    for k in range(int(round(params.t_end / params.dt))):
+    for k in range(n_steps):
         if params.scheme == "splitting":
             state = step_diffuse(state, model, params.dt,
                                  rngs.stream(params.seed, k, rngs.DIFFUSE))

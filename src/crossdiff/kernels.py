@@ -15,9 +15,9 @@ Against a grid field, convolve_field is the midpoint-rule quadrature at
 arbitrary points: the direct sum over the cell centres weighted by the
 cell masses.  Every direct sum scans its pairs through grids.pair_r2 in
 blocks of about CHUNK pairs.  convolve_field_grid gives the same
-quadrature at every cell centre for one kernel-species pair or a batch of
-them, through one FFT engine: one mass sum, one forward FFT of all
-species, one product and one inverse FFT of the batch.  The rest
+quadrature at every cell centre for a batch of kernel-species pairs,
+through one FFT engine: one mass sum, one forward FFT of all species, one
+product and one inverse FFT of the batch.  The rest
 (constant/FFT split, gather indices, stacked kernel spectra, crop) is a
 batch plan cached per kernel tuple, species tuple, grid shape and spacing
 in a bounded, thread-safe LRU cache.  Its test oracle is convolve_field at
@@ -373,15 +373,14 @@ def _batch_plan(ks: tuple, js: tuple, shape: tuple, spacing: tuple) -> tuple:
                                           for n in shape))
 
 
-def convolve_field_grid(k, u: GridField, species) -> np.ndarray:
+def convolve_field_grid(ks, u: GridField, js) -> np.ndarray:
     """Whole-grid convolution, same quadrature as convolve_field, at every
-    cell centre.  Equal-length sequences k and species give the stack
-    (P, *shape) of k[p] * u^species[p]: one forward FFT of every species and
-    one inverse FFT of the stack, zero-padded, through a cached batch
-    plan.  Its test oracle is convolve_field at u.centers().
+    cell centre: for equal-length sequences ks and js, the stack (P, *shape)
+    of ks[p] * u^js[p], by one forward FFT of every species and one inverse
+    FFT of the stack, zero-padded, through a cached batch plan.  Its test
+    oracle is convolve_field at u.centers().
     """
-    single = isinstance(k, KernelSpec)
-    ks, js = ((k,), (species,)) if single else (tuple(k), tuple(species))
+    ks, js = tuple(ks), tuple(js)
     const, amps, const_js, rest, rest_js, spectra, fshape, crop = \
         _batch_plan(ks, js, u.shape, tuple(u.spacing.tolist()))
     out = np.empty((len(ks),) + u.shape)
@@ -394,4 +393,4 @@ def convolve_field_grid(k, u: GridField, species) -> np.ndarray:
                              norm="forward")[crop]
         conv *= 1.0 / math.prod(fshape)
         out[rest] = np.maximum(conv * u.cell_volume, 0.0)
-    return out[0] if single else out
+    return out

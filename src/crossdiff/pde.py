@@ -12,9 +12,10 @@ divergence is discretized directly as differences of the product a u,
 matching the weak form term by term; boundary is zero Dirichlet on a box
 padded so boundary mass stays negligible; a solve flags a boundary mass
 fraction above LEAK_BUDGET.  solve builds one step plan before its loop
-(checks, convolution batch, grid constants, growth rates and density-free
-coefficients at the cell centres).  A step raises CFLError unless dt times
-each stability rate is at most CFL_SAFETY, so a NaN rate raises too.
+(model, mode, checks, convolution batch, grid constants, growth rates and
+density-free coefficients at the cell centres); step and rhs take it.
+A step raises CFLError unless dt times each stability rate is at most
+CFL_SAFETY, so a NaN rate raises too.
 """
 
 from __future__ import annotations
@@ -128,15 +129,8 @@ def _drift(model: CoefficientModel, pts, h, v):
     return b, float((np.abs(b) / h).max())
 
 
-def _plan(u: GridField, model: CoefficientModel, mode: str,
-          plan: _StepPlan | None = None) -> _StepPlan:
-    """plan after checking that it was built for (u, model, mode), or the
-    step plan of (u, model, mode) when plan is None."""
-    grid = (u.values.shape, u.lo.tolist(), u.hi.tolist())
-    if plan is not None:
-        if plan.model is not model or plan.mode != mode or plan.grid != grid:
-            raise ValueError("plan does not match the field, model or mode")
-        return plan
+def _plan(u: GridField, model: CoefficientModel, mode: str) -> _StepPlan:
+    """The step plan of (u, model, mode), after checking that they fit."""
     M = model.M
     if u.n_species != M or u.dim != model.d:
         raise ValueError("field does not match the model dimensions")
@@ -154,19 +148,20 @@ def _plan(u: GridField, model: CoefficientModel, mode: str,
     mats = [model.G] * (a is None) + [model.H] * (b is None) + (
         [model.C] if mode == "kernel" and model.C is not None else [])
     return _StepPlan(
-        model, mode, grid,
+        model, mode, (u.values.shape, u.lo.tolist(), u.hi.tolist()),
         tuple(row[j] for mat in mats for row in mat for j in range(M)),
         tuple(j for _ in range(len(mats) * M) for j in range(M)), pts, h,
         u.cell_volume, float(np.min(h) ** 2),
         np.array([model.eval_growth(i, pts) for i in range(M)]), a, b)
 
 
-def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel",
-        plan: _StepPlan | None = None):
+def rhs(u: GridField, plan: _StepPlan):
     """Right-hand side arrays (M, *shape), the grid sup of a_eff, and the
-    rates max_k max|b_k| / h_k and max|r - death| of the stability bounds.
-    plan is the solve's step plan, built here when omitted."""
-    plan = _plan(u, model, mode, plan)
+    rates max_k max|b_k| / h_k and max|r - death| of the stability bounds,
+    with the model and mode of plan, a step plan (_plan) of u's grid."""
+    if (u.values.shape, u.lo.tolist(), u.hi.tolist()) != plan.grid:
+        raise ValueError("plan does not match the field's grid")
+    model = plan.model
     M, d, pts, h, U = model.M, model.d, plan.pts, plan.h, u.values
     # [matrix, i, cell, j] of the plan's batch, read in its order
     conv = iter(np.ascontiguousarray(convolve_field_grid(
@@ -175,7 +170,7 @@ def rhs(u: GridField, model: CoefficientModel, mode: str = "kernel",
     a, a_sup = plan.a or _sigma(model, pts, next(conv))
     b, b_rate = plan.b or _drift(model, pts, h, next(conv))
     a, b = a.reshape(U.shape + (d, d)), b.reshape(U.shape + (d,))
-    if mode == "local":
+    if plan.mode == "local":
         death = sum(model.comp[:, j, None] * U[j].ravel() for j in range(M))
     else:   # 0 without competition kernels
         death = sum(c[..., j] for c in conv for j in range(M))
@@ -205,37 +200,34 @@ def _check_cfl(dt: float, plan: _StepPlan, a_sup: float, b_rate: float,
                            f"{CFL_SAFETY / rate:g} (rate {rate:g})")
 
 
-def step(u: GridField, model: CoefficientModel, dt: float,
-         mode: str = "kernel", plan: _StepPlan | None = None):
-    """One explicit Euler step; returns (new field, clamped mass).
-    plan is the solve's step plan, built here when omitted."""
-    plan = _plan(u, model, mode, plan)
-    dudt, *rates = rhs(u, model, mode, plan)
+def step(u: GridField, dt: float, plan: _StepPlan):
+    """One explicit Euler step of plan's model and mode, as rhs; returns
+    (new field, clamped mass)."""
+    dudt, *rates = rhs(u, plan)
     _check_cfl(dt, plan, *rates)
     new = u.values + dt * dudt
     clamped = float(-np.minimum(new, 0.0).sum() * plan.vol)
     return GridField(u.lo, u.hi, np.maximum(new, 0.0), u.time + dt), clamped
 
 
-def snapshot_steps(times, dt: float) -> dict:
-    """{step index: time} of snapshot times that lie on the step grid of
-    dt; a time off that grid raises ValueError."""
-    steps = {}
-    for t in times:
+def snapshot_steps(t_end: float, times, dt: float) -> tuple:
+    """The step count of t_end and {step index: time} of the snapshot
+    times, on the step grid of dt; a time off that grid raises ValueError.
+    """
+    def on_grid(t, what):
         k = int(round(t / dt))
         if abs(k * dt - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"snapshot time {t} is not on the step grid")
-        steps[k] = t
-    return steps
+            raise ValueError(f"{what} {t} is not on the step grid of dt {dt}")
+        return k
+    return on_grid(t_end, "t_end"), {on_grid(t, "snapshot time"): t
+                                     for t in times}
 
 
 def solve(model: CoefficientModel, u0: GridField,
           params: SolverParams) -> PDESolution:
     """March the system to t_end, storing snapshots at requested times."""
-    n_steps = int(round(params.t_end / params.dt))
-    if abs(n_steps * params.dt - params.t_end) > 1e-9 * params.t_end:
-        raise ValueError("t_end must be a multiple of dt")
-    snap_steps = snapshot_steps(params.snapshot_times, params.dt)
+    n_steps, snap_steps = snapshot_steps(params.t_end, params.snapshot_times,
+                                         params.dt)
     u = u0.copy()
     u.time = 0.0
     snapshots, clamp_total = [], 0.0
@@ -244,7 +236,7 @@ def solve(model: CoefficientModel, u0: GridField,
         snapshots.append(u.copy())
     plan = _plan(u, model, params.mode)
     for k in range(1, n_steps + 1):
-        u, clamped = step(u, model, params.dt, params.mode, plan)
+        u, clamped = step(u, params.dt, plan)
         u.time = k * params.dt
         clamp_total += clamped
         if k in snap_steps:

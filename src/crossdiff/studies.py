@@ -78,6 +78,20 @@ def _sub_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _health(sol) -> list:
+    """[boundary mass fraction, clamped mass] of a PDE solution."""
+    return [sol.max_boundary_fraction, sol.clamp_mass]
+
+
+def _health_summary(healths) -> dict:
+    """Summary keys over the _health of a study's PDE solves: the largest
+    boundary mass fraction and the total clamped mass.  No verdict reads
+    them."""
+    fractions, clamps = zip(*healths)
+    return {"pde_max_boundary_fraction": max(fractions),
+            "pde_clamp_mass": sum(clamps)}
+
+
 # ---------------------------------------------------------------------
 # large-K limit
 
@@ -169,7 +183,8 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
          "final_distances": {str(K): round(float(v), 6)
                              for K, v in zip(K_list, final[:, 0])},
          "final_quantization": {str(K): round(float(v), 6)
-                                for K, v in zip(K_list, final[:, 1])}},
+                                for K, v in zip(K_list, final[:, 1])},
+         **_health_summary([_health(sol)])},
         [csv_path])
 
 
@@ -190,9 +205,11 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         raise ValueError("pde.eps list must be nonempty for study-dirac")
     u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     h = _cache_key(cfg)
-    keys = [_cache_key("dirac", h, eps) for eps in eps_list]
-    sups = [_cache_load(out_dir, key, resume) for key in keys]
-    todo = [n for n, hit in enumerate(sups) if hit is None]
+    # [sup distance, health of its kernel-mode and local-mode solves] per
+    # epsilon, tagged, so entries cached without the health miss
+    keys = [_cache_key("dirac", "health", h, eps) for eps in eps_list]
+    hits = [_cache_load(out_dir, key, resume) for key in keys]
+    todo = [n for n, hit in enumerate(hits) if hit is None]
     if todo:    # only a fresh sub-run reads the local-mode solution
         sol_loc = pde.solve(build_model(cfg), u0,
                             solver_params(cfg, mode="local"))
@@ -204,11 +221,13 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         sup = 0.0
         for snap_loc, snap in zip(sol_loc.snapshots, sol.snapshots):
             sup = max(sup, bl_distance_fields(snap, snap_loc).value)
-        _cache_store(out_dir, keys[n], sup)
-        return sup
+        hit = [sup, _health(sol), _health(sol_loc)]
+        _cache_store(out_dir, keys[n], hit)
+        return hit
 
-    for n, sup in zip(todo, _map(one, todo, workers)):
-        sups[n] = sup
+    for n, hit in zip(todo, _map(one, todo, workers)):
+        hits[n] = hit
+    sups = [hit[0] for hit in hits]
 
     fit = rate_fit(list(zip(eps_list, sups)), seed=seed)
     ok = abs(fit.slope - 1.0) <= 0.3
@@ -220,7 +239,8 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         {"slope": round(fit.slope, 4),
          "slope_band": [round(v, 4) for v in fit.band],
          "distances": {f"{e:g}": round(s, 6)
-                       for e, s in zip(eps_list, sups)}},
+                       for e, s in zip(eps_list, sups)},
+         **_health_summary([hit[1] for hit in hits] + [hits[0][2]])},
         [csv_path])
 
 
@@ -316,7 +336,8 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         "flow", passed,
         {"density_points_ok": int(np.sum(ok_pts)), "n_points": len(ok_pts),
          "fk_mass": round(fk.value, 6), "fk_stderr": round(fk.stderr, 6),
-         "pde_mass": round(mass_pde, 6), "budget": round(budget, 6)},
+         "pde_mass": round(mass_pde, 6), "budget": round(budget, 6),
+         **_health_summary([_health(sol)])},
         [csv_path])
 
 
@@ -341,6 +362,7 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     dump_path = os.path.join(out_dir, "u0.bin")
     io.write_field_dump(dump_path, u0)
     sol_same = pde.solve(model, io.read_field_dump(dump_path), sp)
+    healths = [_health(sol0), _health(sol_same)]
     certs = []    # every BL certificate, for the gap and rounds summary
 
     def dist(a, b):
@@ -356,6 +378,7 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         shift[axis] = delta
         u0p = project_to_grid([s.shifted(shift) for s in init], *box)
         solp = pde.solve(model, u0p, sp)
+        healths.append(_health(solp))
         d0 = dist(sol0.snapshots[0], solp.snapshots[0])
         dist_t = [dist(a, b) for a, b in zip(sol0.snapshots, solp.snapshots)]
         for snap, dval in zip(sol0.snapshots, dist_t):
@@ -375,7 +398,8 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
          "stability_ratios": [round(rv, 4) for rv in ratios],
          "ratio_spread": round(ratio_spread, 4),
          "bl_max_relative_gap": f"{gap:.3g}",
-         "bl_max_rounds": max(c["rounds"] for c in certs)},
+         "bl_max_rounds": max(c["rounds"] for c in certs),
+         **_health_summary(healths)},
         [csv_path, dump_path])
 
 

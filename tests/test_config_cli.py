@@ -356,20 +356,23 @@ def test_cli_bl_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "BL linear program failed" in capsys.readouterr().err
 
 
-def test_cli_study_uniqueness_2d_on_20_cells(tmp_path, capsys):
-    # the uniqueness-2d benchmark problem on 20 x 20 cells; a stop on an
-    # empty violation list raised BLError (exit 2) here
-    cfg = {
+def uniqueness_2d_cfg(cells):
+    """The uniqueness-2d benchmark problem on cells x cells."""
+    return {
         "seed": 37,
         "model": {"M": 1, "dim": 2, "family": "constant-coefficients",
                   "params": {"sigma0": 0.3}, "r": [0.5], "rbar": [0.5],
                   "kernels": {"C": {"family": "gaussian", "bandwidth": 0.5}}},
         "initial": [{"mass": 0.8, "kind": "gaussian", "std": 0.6}],
-        "pde": {"lo": -4.0, "hi": 4.0, "cells": 20, "dt": 0.01,
+        "pde": {"lo": -4.0, "hi": 4.0, "cells": cells, "dt": 0.01,
                 "t_end": 0.5, "snapshot_times": [0.0, 0.25, 0.5]},
         "uniqueness": {"deltas": [0.4, 0.2, 0.1]},
     }
-    path = write_cfg(tmp_path, cfg)
+
+
+def test_cli_study_uniqueness_2d_on_20_cells(tmp_path, capsys):
+    # a stop on an empty violation list raised BLError (exit 2) here
+    path = write_cfg(tmp_path, uniqueness_2d_cfg(20))
     out = str(tmp_path / "o")
     assert cli.main(["study-uniqueness", "--config", path,
                      "--out", out]) == cli.EXIT_OK
@@ -377,6 +380,18 @@ def test_cli_study_uniqueness_2d_on_20_cells(tmp_path, capsys):
     assert cli.main(["report", "--out", out]) == cli.EXIT_OK
     text = capsys.readouterr().out
     assert "bl_max_relative_gap" in text and "bl_max_rounds" in text
+
+
+def test_study_uniqueness_reports_the_leak_of_its_solves(tmp_path):
+    # on 12 x 12 cells of [-4, 4]^2 the solves lose more than LEAK_BUDGET
+    # of their mass through the boundary; the summary says so, and the
+    # verdict, which reads the stability ratios only, still passes
+    from crossdiff import pde
+    from crossdiff.studies import study_uniqueness
+    rep = study_uniqueness(uniqueness_2d_cfg(12), str(tmp_path), seed=37)
+    assert rep.summary["pde_max_boundary_fraction"] > pde.LEAK_BUDGET
+    assert rep.summary["pde_clamp_mass"] == 0.0
+    assert rep.passed
 
 
 def test_cli_solve_pde_outputs_and_determinism(tmp_path, capsys):
@@ -515,8 +530,13 @@ def test_cli_study_dirac_identical_across_workers_and_resume(tmp_path,
                                "--out", str(tmp_path / out)] + extra))
         tables.append((tmp_path / out / "dirac.csv").read_bytes())
         assert (tmp_path / out / "study_dirac_manifest.json").exists()
-    # the resumed run reads every distance from the cache and solves nothing
+    # the resumed run reads every distance and solve health from the cache
+    # and solves nothing
     assert solves == []
+    summaries = [json.loads((tmp_path / out / "study_dirac_manifest.json")
+                            .read_text())["summary"] for out in ("w1", "w2")]
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["pde_max_boundary_fraction"] > 0.0
     assert codes[0] in (cli.EXIT_OK, cli.EXIT_CHECK)
     assert codes == [codes[0]] * 3
     assert tables[0] == tables[1] == tables[2]

@@ -372,7 +372,7 @@ def test_tables_match_direct_quadrature(family, cells, dim, std):
     t, w = 0.013, 0.65          # between the snapshots at 0 and 0.02
     a, b = sol.snapshots
     u_t = GridField(a.lo, a.hi, (1.0 - w) * a.values + w * b.values, t)
-    sup = float(np.max(convolve_field_grid(k, u_t, 0)))
+    sup = float(np.max(convolve_field_grid([k], u_t, [0])))
     R = k.support_radius
     rng = np.random.default_rng(cells + dim)
     lo, hi = a.lo[0], a.hi[0]

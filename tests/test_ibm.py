@@ -334,6 +334,11 @@ def test_snapshot_off_grid_rejected(scheme):
                   scheme=scheme)
     with pytest.raises(ValueError, match="not on the step grid"):
         simulate(m, init, p)
+    # an off-grid horizon, which would otherwise stop at t = 0.9
+    p = SimParams(t_end=1.0, dt=0.3, K=100, seed=1, snapshot_times=(0.6,),
+                  scheme=scheme)
+    with pytest.raises(ValueError, match="t_end 1.0 is not on the step grid"):
+        simulate(m, init, p)
 
 
 @pytest.mark.parametrize("scheme", ["splitting", "thinned-events"])

@@ -291,7 +291,7 @@ def test_convolve_field_grid_matches_direct():
     u = GridField(np.array([-2.0]), np.array([2.0]),
                   rng.random((1, 64)), 0.0)
     k = KernelSpec("gaussian", 1, bandwidth=0.4)
-    fast = convolve_field_grid(k, u, 0)
+    fast = convolve_field_grid([k], u, [0])[0]
     direct = _direct_grid(k, u, 0)
     np.testing.assert_allclose(fast, direct, rtol=1e-8, atol=1e-12)
 
@@ -301,7 +301,7 @@ def test_convolve_field_grid_matches_direct_2d():
     u = GridField(np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
                   rng.random((1, 24, 24)), 0.0)
     k = KernelSpec("gaussian", 2, bandwidth=0.3)
-    np.testing.assert_allclose(convolve_field_grid(k, u, 0),
+    np.testing.assert_allclose(convolve_field_grid([k], u, [0])[0],
                                _direct_grid(k, u, 0),
                                rtol=1e-8, atol=1e-12)
 
@@ -318,7 +318,7 @@ def test_convolve_field_grid_bit_equal_to_fftconvolve(shape):
                    axis=-1)
     kk = k.evaluate_batch(pts).reshape([2 * n - 1 for n in shape])
     ref = signal.fftconvolve(u.values[0], kk, mode="same") * u.cell_volume
-    assert np.array_equal(convolve_field_grid(k, u, 0),
+    assert np.array_equal(convolve_field_grid([k], u, [0])[0],
                           np.maximum(ref, 0.0))
 
 
@@ -371,11 +371,11 @@ def test_spectrum_cache_bit_equal_to_fresh():
     k = KernelSpec("gaussian", 1, bandwidth=0.3)
     fields = {n: GridField([-2.0], [2.0], rng.random((1, n)), 0.0)
               for n in (64, 128)}
-    warm = {n: [convolve_field_grid(k, u, 0) for _ in range(2)]
+    warm = {n: [convolve_field_grid([k], u, [0])[0] for _ in range(2)]
             for n, u in fields.items()}
     for n, u in fields.items():
         kernels._batch_plan.cache_clear()
-        fresh = convolve_field_grid(k, u, 0)
+        fresh = convolve_field_grid([k], u, [0])[0]
         assert fresh.shape == (n,)
         for got in warm[n]:
             assert np.array_equal(got, fresh)
@@ -390,11 +390,11 @@ def test_spectrum_cache_thread_safe():
 
     def run(_):
         start.wait()            # both threads miss the cold cache together
-        return convolve_field_grid(k, u, 0)
+        return convolve_field_grid([k], u, [0])[0]
     with ThreadPoolExecutor(max_workers=2) as pool:
         a, b = pool.map(run, range(2))
     assert np.array_equal(a, b)
-    assert np.array_equal(a, convolve_field_grid(k, u, 0))
+    assert np.array_equal(a, convolve_field_grid([k], u, [0])[0])
 
 
 def test_batch_plan_cache_keys_never_share_entries():
@@ -427,7 +427,7 @@ def test_batch_plan_cache_keys_never_share_entries():
         kernels._batch_plan.cache_clear()
         assert np.array_equal(got, convolve_field_grid(ks, v, js))
         for p, (k, j) in enumerate(zip(ks, js)):
-            assert np.array_equal(got[p], convolve_field_grid(k, v, j))
+            assert np.array_equal(got[p], convolve_field_grid([k], v, [j])[0])
     assert np.array_equal(warm[1], warm[0][::-1])
 
 
@@ -459,7 +459,8 @@ def test_batched_grid_convolution_equals_pairwise(shape, shifted, reference):
     assert got.shape == (len(ks),) + shape
     for p, (k, j) in enumerate(zip(ks, js)):
         if reference == "fft":
-            assert np.array_equal(got[p], convolve_field_grid(k, u, j)), p
+            assert np.array_equal(got[p],
+                                  convolve_field_grid([k], u, [j])[0]), p
         else:
             np.testing.assert_allclose(got[p], _direct_grid(k, u, j),
                                        rtol=1e-8, atol=1e-12)
@@ -483,6 +484,8 @@ def test_batched_grid_convolution_rejects_bad_input():
         convolve_field_grid([g, g], u, [0])
     with pytest.raises(ValueError):
         convolve_field_grid([g, KernelSpec("gaussian", 2)], u, [0, 1])
+    with pytest.raises(TypeError):      # sequences only, no single pair
+        convolve_field_grid(g, u, 0)
 
 
 def test_mollifier_identity_at_eps_one():

@@ -25,7 +25,7 @@ def gaussian_field(mass=1.0, std=1.0, cells=160, half=7.0, M=1):
 def test_rhs_zero_for_zero_coefficients():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, r=0.0)
     u = gaussian_field()
-    dudt, a_sup, *_ = rhs(u, m)
+    dudt, a_sup, *_ = rhs(u, pde._plan(u, m, "kernel"))
     np.testing.assert_allclose(dudt, 0.0, atol=1e-14)
     assert a_sup == 0.0
 
@@ -33,7 +33,7 @@ def test_rhs_zero_for_zero_coefficients():
 def test_rhs_pure_growth_is_r_times_u():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, r=0.7)
     u = gaussian_field()
-    dudt, *_ = rhs(u, m)
+    dudt, *_ = rhs(u, pde._plan(u, m, "kernel"))
     np.testing.assert_allclose(dudt[0], 0.7 * u.values[0], rtol=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_rhs_laplacian_of_gaussian_second_order():
     for cells in (100, 200):
         u = gaussian_field(cells=cells, half=7.0)
         x = u.centers()[:, 0]
-        dudt, a_sup, *_ = rhs(u, m)
+        dudt, a_sup, *_ = rhs(u, pde._plan(u, m, "kernel"))
         exact = sigma0 ** 2 * (x ** 2 - 1.0) * np.exp(-0.5 * x ** 2) \
             / math.sqrt(2 * math.pi)
         errs.append(np.max(np.abs(dudt[0] - exact)))
@@ -128,7 +128,7 @@ def test_cfl_violation_raises():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=1.0)
     u0 = gaussian_field(cells=256, half=4.0)
     with pytest.raises(CFLError):
-        step(u0, m, dt=0.01)
+        step(u0, 0.01, pde._plan(u0, m, "kernel"))
 
 
 def test_time_grid_validation():
@@ -226,8 +226,8 @@ def _reference_rhs(u, model, mode):
     pts, h, shape = u.centers(), u.spacing, u.shape
 
     def conv(kmat):
-        return [[convolve_field_grid(kmat[i][j], u, j) for j in range(M)]
-                for i in range(M)]
+        return [[convolve_field_grid([kmat[i][j]], u, [j])[0]
+                 for j in range(M)] for i in range(M)]
     conv_G, conv_H = conv(model.G), conv(model.H)
     if mode == "local":
         death = [sum(model.comp[i, j] * u.values[j] for j in range(M))
@@ -298,7 +298,7 @@ def test_rhs_bit_equal_to_pairwise_reference(shape, mode, with_C):
              InitialCondition(0.9, "gaussian", mean=-0.3, std=0.9, dim=d)]
     u = project_to_grid(specs, [-4.0] * d, [4.0] * d, list(shape))
     model = _cross_model(d, with_C)
-    dudt, a_sup, *_ = rhs(u, model, mode)
+    dudt, a_sup, *_ = rhs(u, pde._plan(u, model, mode))
     ref, ref_sup = _reference_rhs(u, model, mode)
     assert np.array_equal(dudt, ref)
     assert a_sup == ref_sup
@@ -318,15 +318,15 @@ def _cross_field(shape):
                                          ("local", True)])
 @pytest.mark.parametrize("shape", [(64,), (20, 24)])
 def test_solve_equals_loop_of_planless_steps(shape, mode, with_C):
-    # 25 steps through the solve's plan against 25 steps that each build
-    # their own plan, bit for bit
+    # 25 steps through the solve's plan against 25 steps, each through a
+    # plan of its own, bit for bit
     model, u0 = _cross_model(len(shape), with_C), _cross_field(shape)
     dt, snaps = 0.002, {0: 0.0, 10: 0.02, 25: 0.05}
     sol = solve(model, u0, SolverParams(dt=dt, t_end=0.05, mode=mode,
                                         snapshot_times=tuple(snaps.values())))
     u, clamp, ref = u0.copy(), 0.0, [u0.values]
     for k in range(1, 26):
-        u, clamped = step(u, model, dt, mode)
+        u, clamped = step(u, dt, pde._plan(u, model, mode))
         clamp += clamped
         if k in snaps:
             ref.append(u.values)
@@ -347,26 +347,22 @@ def test_growth_evaluated_once_per_solve(mode):
     solve(model, u0, SolverParams(dt=0.002, t_end=0.05, mode=mode))
     assert calls == [(64, 1)] * model.M          # not M per step
     calls.clear()
-    step(u0, model, 0.002, mode)                 # a plan-less step builds one
+    step(u0, 0.002, pde._plan(u0, model, mode))  # each plan evaluates them
     assert len(calls) == model.M
 
 
-def test_step_plan_rejects_another_field_model_or_mode():
+def test_step_plan_rejects_another_field():
     model, u = _cross_model(1), _cross_field((64,))
     plan = pde._plan(u, model, "kernel")
-    step(u, model, 0.002, "kernel", plan=plan)     # the matching field
-    others = [_cross_field((32,)),                          # shape
+    step(u, 0.002, plan)                                        # matching
+    others = [_cross_field((32,)),                              # shape
               GridField([-3.0], [5.0], u.values, 0.0),          # box
               GridField(u.lo, u.hi, u.values[:1], 0.0)]         # species
     for v in others:
         with pytest.raises(ValueError, match="plan does not match"):
-            step(v, model, 0.002, "kernel", plan=plan)
+            step(v, 0.002, plan)
         with pytest.raises(ValueError, match="plan does not match"):
-            rhs(v, model, "kernel", plan)
-    with pytest.raises(ValueError, match="plan does not match"):
-        step(u, model, 0.002, "local", plan=plan)
-    with pytest.raises(ValueError, match="plan does not match"):
-        rhs(u, _cross_model(1), "kernel", plan)
+            rhs(v, plan)
 
 
 # ----------------------------------------------------------------------
@@ -478,26 +474,29 @@ def test_cfl_advective_bound_raises():
     # no diffusion; dt max|b| / h = 0.01 * 50 / 0.0875 = 5.7 > 0.9
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, drift0=50.0)
     u0 = gaussian_field()
+    plan = pde._plan(u0, m, "kernel")
     with pytest.raises(CFLError, match="advective"):
-        step(u0, m, dt=0.01)
-    step(u0, m, dt=0.001)           # 0.57 <= 0.9
+        step(u0, 0.01, plan)
+    step(u0, 0.001, plan)           # 0.57 <= 0.9
 
 
 def test_cfl_reaction_bound_raises():
     # no diffusion or drift; dt max|r - death| = 0.01 * 100 = 1.0 > 0.9
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.0, r=100.0)
     u0 = gaussian_field()
+    plan = pde._plan(u0, m, "kernel")
     with pytest.raises(CFLError, match="reaction"):
-        step(u0, m, dt=0.01)
-    step(u0, m, dt=0.005)           # 0.5 <= 0.9
+        step(u0, 0.01, plan)
+    step(u0, 0.005, plan)           # 0.5 <= 0.9
 
 
 def test_cfl_nan_rate_raises():
     # NaN * dt > bound is False: a NaN rate must not pass as stable
     m = builtin_model("constant-coefficients", 1, 1)
     m.sigma_fns = [lambda x, v: np.full((x.shape[0], 1, 1), np.nan)]
+    u0 = gaussian_field()
     with pytest.raises(CFLError, match=r"diffusive .* \(rate nan\)"):
-        step(gaussian_field(), m, dt=0.001)
+        step(u0, 0.001, pde._plan(u0, m, "kernel"))
 
 
 def test_cli_nan_diffusion_exits_numerical_and_fails_validation(tmp_path,
@@ -525,8 +524,9 @@ def test_cli_nan_diffusion_exits_numerical_and_fails_validation(tmp_path,
 
 def test_cfl_diffusive_bound_is_named():
     m = builtin_model("constant-coefficients", 1, 1, sigma0=1.0)
+    u0 = gaussian_field(cells=256, half=4.0)
     with pytest.raises(CFLError, match="diffusive"):
-        step(gaussian_field(cells=256, half=4.0), m, dt=0.01)
+        step(u0, 0.01, pde._plan(u0, m, "kernel"))
 
 
 # ----------------------------------------------------------------------
