@@ -354,8 +354,8 @@ def test_growth_evaluated_once_per_solve(mode):
 def test_step_plan_rejects_another_field():
     model, u = _cross_model(1), _cross_field((64,))
     plan = pde._plan(u, model, "kernel")
-    step(u, 0.002, plan)                                        # matching
-    others = [_cross_field((32,)),                              # shape
+    step(u, 0.002, plan)                                # the matching field
+    others = [_cross_field((32,)),                          # shape
               GridField([-3.0], [5.0], u.values, 0.0),          # box
               GridField(u.lo, u.hi, u.values[:1], 0.0)]         # species
     for v in others:
