@@ -22,9 +22,9 @@ import time
 import numpy as np
 
 from . import ibm, io, pde, studies
-from .config import (ConfigError, _number, build_initial, build_model,
-                     grid_box, load_config, probe_spec, sim_params,
-                     solver_params)
+from .config import (ConfigError, _number, _numbers, build_initial,
+                     build_model, grid_box, load_config, probe_spec,
+                     sim_params, solver_params)
 from .flow import FlowError, compose_inverse_forward, inverse_flow
 from .ibm import SimulationError
 from .initial import project_to_grid
@@ -62,7 +62,8 @@ def _out_dir(args, cfg: dict) -> str:
 
 def _load(args):
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+    seed = (args.seed if args.seed is not None
+            else _number(cfg, "seed", None, "", int, 0))
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
     return cfg, seed, out
@@ -82,7 +83,7 @@ def _cmd_validate(args) -> int:
 def _simulate_ibm(cfg, seed, out, args):
     model = build_model(cfg)
     init = build_initial(cfg)
-    K = int((cfg.get("ibm") or {}).get("K", [1000])[0])
+    K = _numbers(cfg.get("ibm") or {}, "K", [1000], "ibm", int, 1)[0]
     traj = ibm.simulate(model, init, sim_params(cfg, K, seed))
     csv_path = os.path.join(out, "particles.csv")
     io.write_particles_csv(csv_path, traj)
@@ -121,10 +122,8 @@ def _flow(cfg, seed, out, args):
     model = build_model(cfg)
     u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     fcfg = cfg.get("flow") or {}
-    n_paths = _number(fcfg, "n_paths", 100, "flow", int)
-    if n_paths < 1:
-        raise ConfigError(f"flow.n_paths must be at least 1, got {n_paths}")
-    i = studies.flow_species(fcfg, model.M)
+    n_paths = _number(fcfg, "n_paths", 100, "flow", int, 1)
+    i = _number(fcfg, "species", 0, "flow", int, 0, model.M - 1)
     y = studies.flow_probes(cfg, u0, [0.35, 0.5, 0.65])
     t, dt, _, coeffs = studies.frozen_flow(cfg, model, u0)
 

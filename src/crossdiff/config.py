@@ -60,15 +60,44 @@ def _check_keys(obj: dict, allowed: set, where: str):
                           f"(allowed: {sorted(allowed)})")
 
 
-def _number(spec: dict, key: str, default, where: str, kind=float):
-    """spec[key], default when absent, as kind (float or int); a value that
-    kind() rejects, such as a list, is a ConfigError that names the key."""
-    value = spec.get(key, default)
+def _number(spec: dict, key: str, default, where: str, kind=float, lo=None,
+            hi=None):
+    """spec[key], default when absent, as kind (float or int) in [lo, hi],
+    else a ConfigError that names where.key (key alone when where is empty).
+    A float takes what float() takes (YAML reads 1e-3 as a string), an int
+    an int or an integral float; neither takes a bool, NaN or inf."""
+    name, value = f"{where}.{key}" if where else key, spec.get(key, default)
+    not_numbers = (bool, str) if kind is int else bool
     try:
-        return kind(value)
+        x = math.nan if isinstance(value, not_numbers) else float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a number, "
-                          f"got {value!r}") from None
+        x = math.nan
+    if not math.isfinite(x) or (kind is int and not x.is_integer()):
+        raise ConfigError(f"{name} must be a number"
+                          f"{' with an integer value' * (kind is int)}, "
+                          f"got {value!r}")
+    x = int(value) if kind is int else x
+    if (lo is not None and x < lo) or (hi is not None and x > hi):
+        raise ConfigError(f"{name} must " + (
+            f"lie in [{lo}, {hi}]" if hi is not None else f"be at least {lo}")
+            + f", got {x}")
+    return x
+
+
+def _numbers(spec: dict, key: str, default, where: str, kind=float, lo=None,
+             hi=None, n=None) -> list:
+    """spec[key], default when absent, as a nonempty list of _number values;
+    with n, one number stands for n copies and a list must hold n."""
+    value = spec.get(key, default)
+    if n is not None and not isinstance(value, (list, tuple)):
+        return [_number(spec, key, default, where, kind, lo, hi)] * n
+    if not isinstance(value, (list, tuple)) or not value or \
+            len(value) != (n or len(value)):
+        raise ConfigError(f"{where}.{key} must be " + (
+            f"a number or a list of {n}" if n else "a nonempty list")
+            + f", got {value!r}")
+    entries = {f"{where}.{key}[{k}]": v for k, v in enumerate(value)}
+    return [_number(entries, name, None, "", kind, lo, hi) for name in entries]
 
 
 def load_config(path: str) -> dict:
@@ -89,24 +118,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("'initial' must be a nonempty list of species specs")
     for n, entry in enumerate(cfg["initial"]):
         _check_keys(entry, _KEYS["initial"], f"initial[{n}]")
-    _check_values(cfg)
     return cfg
-
-
-def _check_values(cfg: dict):
-    """Values that would otherwise fail deep inside a run."""
-    K = (cfg.get("ibm") or {}).get("K", [1])
-    if not isinstance(K, list) or not K:
-        raise ConfigError(f"ibm.K must be a nonempty list, got {K!r}")
-    ucfg = cfg.get("uniqueness") or {}
-    deltas = ucfg.get("deltas", [1.0])
-    if not isinstance(deltas, list) or not deltas or 0 in deltas:
-        raise ConfigError(f"uniqueness.deltas must be a nonempty list of "
-                          f"nonzero shifts, got {deltas!r}")
-    d, axis = int(cfg["model"].get("dim", 1)), ucfg.get("shift_axis", 0)
-    if not 0 <= int(axis) < d:
-        raise ConfigError(f"uniqueness.shift_axis must lie in [0, {d}), "
-                          f"got {axis!r}")
 
 
 # ---------------------------------------------------------------------
@@ -147,7 +159,7 @@ def _kernel_matrix(spec, M: int, d: int, where: str):
 def mollified_C(cfg: dict, eps: float):
     """Competition kernel matrix c^{ij} * gamma_eps from the comp constants."""
     mcfg = cfg["model"]
-    M, d = int(mcfg["M"]), int(mcfg.get("dim", 1))
+    M, d = _number(mcfg, "M", None, "model", int, 1), _dim(cfg)
     comp = np.asarray(mcfg.get("comp"), dtype=float)
     if comp.shape != (M, M):
         raise ConfigError("dirac study needs an M x M 'comp' matrix")
@@ -175,9 +187,14 @@ def _growth_fn(spec):
     raise ConfigError(f"unknown growth kind {kind!r}")
 
 
+def _dim(cfg: dict) -> int:
+    """model.dim: 1 or 2."""
+    return _number(cfg["model"], "dim", 1, "model", int, 1, 2)
+
+
 def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
     mcfg = cfg["model"]
-    M, d = int(mcfg["M"]), int(mcfg.get("dim", 1))
+    M, d = _number(mcfg, "M", None, "model", int, 1), _dim(cfg)
     kcfg = mcfg.get("kernels") or {}
     _check_keys(kcfg, _KEYS["kernels"], "model.kernels")
     # gamma, the mollifier base of the Dirac study, is read by mollified_C
@@ -190,16 +207,20 @@ def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
     comp = mcfg.get("comp")
     comp = None if comp is None else np.asarray(comp, dtype=float)
 
-    ns = mcfg.get("noise_scale", "sqrt2")
-    noise_scale = math.sqrt(2.0) if ns == "sqrt2" else float(ns)
+    noise_scale = (math.sqrt(2.0) if mcfg.get("noise_scale", "sqrt2") ==
+                   "sqrt2" else _number(mcfg, "noise_scale", None, "model"))
 
     params = dict(mcfg.get("params") or {})
     if "lipschitz_bound" in mcfg:
-        params["lipschitz_bound"] = float(mcfg["lipschitz_bound"])
-    model = builtin_model(mcfg.get("family", "constant-coefficients"), M, d,
-                          G=G, H=H, C=C, comp=comp,
-                          r=mcfg.get("r", 0.0), rbar=mcfg.get("rbar"),
-                          noise_scale=noise_scale, **params)
+        params["lipschitz_bound"] = _number(mcfg, "lipschitz_bound", None,
+                                            "model")
+    rbar = mcfg.get("rbar")
+    model = builtin_model(
+        mcfg.get("family", "constant-coefficients"), M, d, G=G, H=H, C=C,
+        comp=comp, r=_numbers(mcfg, "r", 0.0, "model", n=M),
+        rbar=None if rbar is None else _numbers(mcfg, "rbar", None, "model",
+                                                n=M),
+        noise_scale=noise_scale, **params)
 
     growth = mcfg.get("growth")
     if growth is not None:
@@ -207,13 +228,13 @@ def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
             raise ConfigError("model.growth must list one entry per species")
         fns, bounds = zip(*[_growth_fn(g) for g in growth])
         model.growth_fns = list(fns)
-        if mcfg.get("rbar") is None:
+        if rbar is None:
             model.growth_bounds = list(map(float, bounds))
     return model
 
 
 def build_initial(cfg: dict) -> list:
-    d = int(cfg["model"].get("dim", 1))
+    d = _dim(cfg)
     out = []
     for n, entry in enumerate(cfg["initial"]):
         kw = dict(entry)
@@ -224,50 +245,46 @@ def build_initial(cfg: dict) -> list:
     return out
 
 
-def _required(cfg: dict, section: str, *keys) -> dict:
-    """A config section that must be present with the given keys."""
-    sec = cfg.get(section)
-    missing = ([f"section {section!r}"] if sec is None else
-               [f"key {section}.{k}" for k in keys if k not in sec])
-    if missing:
-        raise ConfigError(f"config is missing required {missing[0]}")
-    return sec
+def _params(cls, where: str, **kw):
+    """cls(**kw), SimParams or SolverParams, whose ValueError messages start
+    with the field at fault, so where.message names its key."""
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise ConfigError(f"{where}.{e}") from None
 
 
 def sim_params(cfg: dict, K: int, seed: int) -> SimParams:
-    icfg = _required(cfg, "ibm", "t_end", "dt")
-    return SimParams(t_end=_number(icfg, "t_end", None, "ibm"),
-                     dt=_number(icfg, "dt", None, "ibm"),
-                     K=int(K), scheme=icfg.get("scheme", "splitting"),
-                     seed=int(seed),
-                     snapshot_times=tuple(icfg.get("snapshot_times") or ()),
-                     ceiling=_number(icfg, "ceiling", 1_000_000, "ibm", int))
+    icfg = cfg.get("ibm") or {}
+    t_end = _number(icfg, "t_end", None, "ibm")
+    return _params(SimParams, "ibm", t_end=t_end,
+                   dt=_number(icfg, "dt", None, "ibm"), K=K,
+                   scheme=icfg.get("scheme", "splitting"), seed=seed,
+                   snapshot_times=_numbers(icfg, "snapshot_times", [t_end],
+                                           "ibm"),
+                   ceiling=_number(icfg, "ceiling", 1_000_000, "ibm", int, 1))
 
 
 def solver_params(cfg: dict, mode=None) -> SolverParams:
-    pcfg = _required(cfg, "pde", "dt", "t_end")
-    return SolverParams(dt=_number(pcfg, "dt", None, "pde"),
-                        t_end=_number(pcfg, "t_end", None, "pde"),
-                        mode=mode or pcfg.get("mode", "kernel"),
-                        snapshot_times=tuple(pcfg.get("snapshot_times") or ()))
+    pcfg = cfg.get("pde") or {}
+    t_end = _number(pcfg, "t_end", None, "pde")
+    return _params(SolverParams, "pde", dt=_number(pcfg, "dt", None, "pde"),
+                   t_end=t_end, mode=mode or pcfg.get("mode", "kernel"),
+                   snapshot_times=_numbers(pcfg, "snapshot_times", [t_end],
+                                           "pde"))
 
 
 def grid_box(cfg: dict):
-    pcfg = _required(cfg, "pde", "lo", "hi", "cells")
-    d = int(cfg["model"].get("dim", 1))
-    lo = np.broadcast_to(np.asarray(pcfg["lo"], float), (d,)).copy()
-    hi = np.broadcast_to(np.asarray(pcfg["hi"], float), (d,)).copy()
-    shape = tuple(int(n) for n in np.broadcast_to(
-        np.asarray(pcfg["cells"], int), (d,)))
-    return lo, hi, shape
+    pcfg, d = cfg.get("pde") or {}, _dim(cfg)
+    return (np.array(_numbers(pcfg, "lo", None, "pde", n=d)),
+            np.array(_numbers(pcfg, "hi", None, "pde", n=d)),
+            tuple(_numbers(pcfg, "cells", None, "pde", int, 2, n=d)))
 
 
 def probe_spec(cfg: dict, seed: int) -> ProbeSpec:
-    vcfg = cfg.get("validate") or {}
-    d = int(cfg["model"].get("dim", 1))
-    lo = np.broadcast_to(np.asarray(vcfg.get("lo", -5.0), float), (d,)).copy()
-    hi = np.broadcast_to(np.asarray(vcfg.get("hi", 5.0), float), (d,)).copy()
-    return ProbeSpec(lo, hi, v_max=_number(vcfg, "v_max", 2.0, "validate"),
+    vcfg, d = cfg.get("validate") or {}, _dim(cfg)
+    return ProbeSpec(np.array(_numbers(vcfg, "lo", -5.0, "validate", n=d)),
+                     np.array(_numbers(vcfg, "hi", 5.0, "validate", n=d)),
+                     v_max=_number(vcfg, "v_max", 2.0, "validate"),
                      v_min=_number(vcfg, "v_min", 0.0, "validate"),
-                     n=_number(vcfg, "n", 512, "validate", int),
-                     seed=int(seed))
+                     n=_number(vcfg, "n", 512, "validate", int, 0), seed=seed)

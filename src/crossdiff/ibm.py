@@ -26,7 +26,7 @@ from . import rng as rngs
 from .initial import InitialCondition
 from .kernels import EmpiricalMeasure, convolve_empirical
 from .model import CoefficientModel, density_free_value
-from .pde import snapshot_steps
+from .pde import time_grid
 
 
 class SimulationError(RuntimeError):
@@ -81,14 +81,10 @@ class SimParams:
     ceiling: int = 1_000_000        # population explosion guard (total N)
 
     def __post_init__(self):
-        if not 0 < self.dt <= self.t_end:
-            raise ValueError("need 0 < dt <= t_end")
         if self.scheme not in ("splitting", "thinned-events"):
             raise ValueError("scheme must be 'splitting' or 'thinned-events'")
-        snaps = sorted(float(t) for t in self.snapshot_times) or [self.t_end]
-        if snaps[0] < 0 or snaps[-1] > self.t_end + 1e-9:
-            raise ValueError("snapshot times must lie in [0, t_end]")
-        self.snapshot_times = tuple(snaps)
+        self.snapshot_times = tuple(time_grid(
+            self.dt, self.t_end, self.snapshot_times)[1].values())
 
 
 @dataclass
@@ -265,8 +261,8 @@ def simulate(model: CoefficientModel, init_specs: list,
 
     Only a birth draws a new id, so the births of a species are the ids it
     drew, and its deaths close the balance of its particle counts."""
-    n_steps, snap_steps = snapshot_steps(params.t_end, params.snapshot_times,
-                                         params.dt)
+    n_steps, snap_steps = time_grid(params.dt, params.t_end,
+                                    params.snapshot_times)
     state = sample_initial(init_specs, params.K,
                            rngs.stream(params.seed, rngs.INIT))
     # step_diffuse trusts the density-free marks; they are spot-checked

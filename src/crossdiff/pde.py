@@ -47,14 +47,30 @@ class SolverParams:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end + 1e-15:
-            raise ValueError("need 0 < dt <= t_end")
         if self.mode not in ("kernel", "local"):
             raise ValueError("mode must be 'kernel' or 'local'")
-        snaps = sorted(float(t) for t in self.snapshot_times) or [self.t_end]
-        if snaps[0] < -1e-15 or snaps[-1] > self.t_end + 1e-9:
-            raise ValueError("snapshot times must lie in [0, t_end]")
-        self.snapshot_times = tuple(snaps)
+        self.snapshot_times = tuple(time_grid(
+            self.dt, self.t_end, self.snapshot_times)[1].values())
+
+
+def time_grid(dt: float, t_end: float, times=()) -> tuple:
+    """The step count n >= 1 of t_end and {step index in [0, n]: time} of
+    the snapshot times (default t_end) on the step grid of dt > 0, sorted;
+    else ValueError, whose message starts with the field at fault."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+
+    def on_grid(t, what, lo, hi):
+        k = int(round(t / dt))
+        if abs(k * dt - t) > 1e-9 + 1e-9 * abs(t):
+            raise ValueError(f"{what} {t} is not on the step grid of dt {dt}")
+        if not lo <= k <= hi:
+            raise ValueError(f"{what} {t} must lie in "
+                             f"[{lo * dt:g}, {hi * dt:g}]")
+        return k
+    n = on_grid(t_end, "t_end", 1, float("inf"))
+    return n, {on_grid(t, "snapshot_times entry", 0, n): t
+               for t in sorted(float(t) for t in times) or [t_end]}
 
 
 @dataclass
@@ -99,8 +115,9 @@ def _d2(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     return (ahead - 2.0 * F + behind) / (h * h)
 
 
-def _d2_cross(F: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    (pp, pm), (mp, mm) = [_neighbours(S, 2) for S in _neighbours(F, 1)]
+def _d2_cross(F: np.ndarray, hx: float, hy: float, ax: int,
+              ay: int) -> np.ndarray:
+    (pp, pm), (mp, mm) = [_neighbours(S, ay) for S in _neighbours(F, ax)]
     return (pp - pm - mp + mm) / (4.0 * hx * hy)
 
 
@@ -179,8 +196,9 @@ def rhs(u: GridField, plan: _StepPlan):
     acc = np.zeros(U.shape)
     for k in range(d):
         acc += _d2(a[..., k, k] * U, h[k], k + 1)
-    if d == 2:
-        acc += 2.0 * _d2_cross(a[..., 0, 1] * U, h[0], h[1])
+    for k in range(d):
+        for l in range(k + 1, d):
+            acc += 2.0 * _d2_cross(a[..., k, l] * U, h[k], h[l], k + 1, l + 1)
     for k in range(d):
         acc -= _d1(b[..., k] * U, h[k], k + 1)
     acc += react * U
@@ -210,24 +228,11 @@ def step(u: GridField, dt: float, plan: _StepPlan):
     return GridField(u.lo, u.hi, np.maximum(new, 0.0), u.time + dt), clamped
 
 
-def snapshot_steps(t_end: float, times, dt: float) -> tuple:
-    """The step count of t_end and {step index: time} of the snapshot
-    times, on the step grid of dt; a time off that grid raises ValueError.
-    """
-    def on_grid(t, what):
-        k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"{what} {t} is not on the step grid of dt {dt}")
-        return k
-    return on_grid(t_end, "t_end"), {on_grid(t, "snapshot time"): t
-                                     for t in times}
-
-
 def solve(model: CoefficientModel, u0: GridField,
           params: SolverParams) -> PDESolution:
     """March the system to t_end, storing snapshots at requested times."""
-    n_steps, snap_steps = snapshot_steps(params.t_end, params.snapshot_times,
-                                         params.dt)
+    n_steps, snap_steps = time_grid(params.dt, params.t_end,
+                                    params.snapshot_times)
     u = u0.copy()
     u.time = 0.0
     snapshots, clamp_total = [], 0.0

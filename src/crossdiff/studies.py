@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ibm, io, pde
-from .config import (ConfigError, _number, build_initial, build_model,
-                     grid_box, mollified_C, sim_params, solver_params)
+from .config import (ConfigError, _number, _numbers, build_initial,
+                     build_model, grid_box, mollified_C, sim_params,
+                     solver_params)
 from .flow import FrozenCoefficients, density_estimate, feynman_kac_functional
 from .grids import GridField
 from .initial import project_to_grid
@@ -116,22 +117,17 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                   resume: bool = False) -> StudyReport:
     """IBM vs PDE distance BL(P_h mu_K, u_h) across the configured K list."""
     icfg = cfg.get("ibm") or {}
-    K_list = [int(k) for k in icfg.get("K") or []]
-    if not K_list:
-        raise ValueError("ibm.K list must be nonempty for study-large-k")
-    replicas = int(icfg.get("replicas", 10))
+    K_list = _numbers(icfg, "K", None, "ibm", int, 1)
+    replicas = _number(icfg, "replicas", 10, "ibm", int, 1)
     model = build_model(cfg)
     init = build_initial(cfg)
 
-    snap_times = tuple(sorted(set(icfg.get("snapshot_times")
-                                  or [sim_params(cfg, 1, seed).t_end])))
-    sp = solver_params(cfg)
-    try:    # replace() re-runs the range check of SolverParams
-        sp = replace(sp, snapshot_times=snap_times)
+    sp, snaps = solver_params(cfg), sim_params(cfg, 1, seed).snapshot_times
+    try:    # replace() re-runs the time-grid check of SolverParams
+        sp = replace(sp, snapshot_times=snaps)
     except ValueError as e:
-        raise ConfigError(f"ibm.snapshot_times (default [ibm.t_end]) must "
-                          f"lie in [0, pde.t_end = {sp.t_end:g}], got "
-                          f"{list(snap_times)}") from e
+        raise ConfigError(f"ibm.snapshot_times (default [ibm.t_end]) against "
+                          f"pde.t_end {sp.t_end:g}: {e}") from None
     sol = pde.solve(model, project_to_grid(init, *grid_box(cfg)), sp)
     h = _cache_key(cfg)
 
@@ -143,9 +139,7 @@ def study_large_k(cfg: dict, out_dir: str, seed: int, workers: int = 1,
         if hit is not None:
             return hit
         run_seed = _sub_seed(seed, K_list.index(K), rep)
-        params = replace(sim_params(cfg, K, run_seed),
-                         snapshot_times=sp.snapshot_times)
-        traj = ibm.simulate(model, init, params)
+        traj = ibm.simulate(model, init, sim_params(cfg, K, run_seed))
         dists = []    # [distance, q] by snapshot time
         for t, state in traj.snapshots:
             u = sol.at_time(t)
@@ -199,10 +193,7 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     variance epsilon (bandwidth sqrt(epsilon)); distances then scale
     linearly in epsilon for symmetric kernels.
     """
-    pcfg = cfg.get("pde") or {}
-    eps_list = [float(e) for e in pcfg.get("eps") or []]
-    if not eps_list:
-        raise ValueError("pde.eps list must be nonempty for study-dirac")
+    eps_list = _numbers(cfg.get("pde") or {}, "eps", None, "pde")
     u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     h = _cache_key(cfg)
     # [sup distance, health of its kernel-mode and local-mode solves] per
@@ -260,14 +251,12 @@ def frozen_flow(cfg: dict, model, u0):
     if not dt > 0.0:
         raise ConfigError(f"flow.dt must be positive, got {dt:g}")
     t = round(t_cfg / sp.dt) * sp.dt
+    if not t > 0.0:
+        raise ConfigError(f"flow.t must round to a positive multiple of "
+                          f"pde.dt = {sp.dt:g}, got {t_cfg:g}")
     n_snap = max(2, int(math.ceil(t / (10.0 * dt))) + 1)
     extra = np.round(np.linspace(0.0, t, n_snap) / sp.dt) * sp.dt
-    try:    # replace() re-runs the range check of SolverParams
-        sp = replace(sp, t_end=t, snapshot_times=tuple(
-            sorted(set([float(v) for v in extra] + [t]))))
-    except ValueError as e:
-        raise ConfigError(f"flow.t must round to a positive multiple of "
-                          f"pde.dt = {sp.dt:g}, got {t_cfg:g}") from e
+    sp = replace(sp, t_end=t, snapshot_times=(*extra, t))
     sol = pde.solve(model, u0, sp)
     return t, dt, sol, FrozenCoefficients.from_pde(model, sol)
 
@@ -284,15 +273,6 @@ def flow_probes(cfg: dict, u0, quantiles) -> np.ndarray:
     return np.atleast_2d(np.asarray(probes, dtype=float)).reshape(-1, u0.dim)
 
 
-def flow_species(fcfg: dict, M: int) -> int:
-    """flow.species of the flow section fcfg, an integer in [0, M)."""
-    i = fcfg.get("species", 0)
-    if type(i) is not int or not 0 <= i < M:
-        raise ConfigError(f"flow.species must be an integer in [0, {M}), "
-                          f"got {i!r}")
-    return i
-
-
 def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                resume: bool = False) -> StudyReport:
     """Density and functional estimates from the flow against the PDE."""
@@ -300,11 +280,9 @@ def study_flow(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     model = build_model(cfg)
     init = build_initial(cfg)
     u0 = project_to_grid(init, *grid_box(cfg))
-    n_paths = _number(fcfg, "n_paths", 200, "flow", int)
-    if n_paths < 2:
-        # the verdict compares against sample standard errors
-        raise ConfigError(f"flow.n_paths must be at least 2, got {n_paths}")
-    i = flow_species(fcfg, model.M)
+    # the verdict compares against sample standard errors: 2 paths or more
+    n_paths = _number(fcfg, "n_paths", 200, "flow", int, 2)
+    i = _number(fcfg, "species", 0, "flow", int, 0, model.M - 1)
     y = flow_probes(cfg, u0, [0.3, 0.4, 0.5, 0.6, 0.7])
     t, dt, sol, coeffs = frozen_flow(cfg, model, u0)
     u_t = sol.at_time(t)
@@ -348,9 +326,11 @@ def study_uniqueness(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                      resume: bool = False) -> StudyReport:
     """Gronwall-type stability of the PDE under initial perturbations."""
     ucfg = cfg.get("uniqueness") or {}
-    deltas = [float(d) for d in ucfg.get("deltas", (0.2, 0.1, 0.05))]
-    axis = int(ucfg.get("shift_axis", 0))
+    deltas = _numbers(ucfg, "deltas", [0.2, 0.1, 0.05], "uniqueness")
+    if 0.0 in deltas:
+        raise ConfigError(f"uniqueness.deltas must be nonzero, got {deltas}")
     model = build_model(cfg)
+    axis = _number(ucfg, "shift_axis", 0, "uniqueness", int, 0, model.d - 1)
     init = build_initial(cfg)
     box = grid_box(cfg)
     sp = solver_params(cfg)

@@ -13,8 +13,8 @@ import yaml
 import crossdiff
 from crossdiff import cli, io
 from crossdiff.config import (ConfigError, build_initial, build_model,
-                              grid_box, load_config, mollified_C, sim_params,
-                              solver_params)
+                              grid_box, load_config, mollified_C, probe_spec,
+                              sim_params, solver_params)
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
 
@@ -126,6 +126,25 @@ def test_builders_roundtrip(tmp_path):
     assert p.K == 40 and p.seed == 3
     lo, hi, shape = grid_box(cfg)
     assert shape == (64,)
+
+
+def test_readme_config_example_goes_through_every_reader(tmp_path):
+    # the example block of the README's "Configuration" section, so the
+    # documented schema cannot drift from the readers
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as f:
+        text = f.read().split("## Configuration", 1)[1]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+    cfg = load_config(str(path))
+    model, init = build_model(cfg), build_initial(cfg)
+    assert (model.M, model.d, len(init)) == (2, 1, 2)
+    assert grid_box(cfg)[2] == (128,)
+    assert solver_params(cfg).snapshot_times == (0.0, 0.5, 1.0)
+    for K in cfg["ibm"]["K"]:
+        assert sim_params(cfg, K, cfg["seed"]).K == K
+    assert probe_spec(cfg, cfg["seed"]).n == 512
+    mollified_C(cfg, 0.2)
 
 
 def test_per_pair_kernel_amplitudes(tmp_path):
@@ -730,6 +749,19 @@ def test_cli_study_flow_rejects_fewer_than_two_paths(tmp_path, capsys,
     ("study-uniqueness", "uniqueness", "deltas", [0.2, 0.0]),
     ("study-uniqueness", "uniqueness", "shift_axis", 1),
     ("study-uniqueness", "uniqueness", "shift_axis", -1),
+    # integer keys take an int or an integral float, in their range
+    *[("solve-pde", "model", "dim", v) for v in (1.5, "2", True, 0, 3)],
+    *[("solve-pde", "pde", "cells", v) for v in (12.7, "12", True, 1)],
+    ("solve-pde", "model", "M", 0),
+    ("simulate-ibm", "ibm", "K", [50.7]),
+    ("study-large-k", "ibm", "replicas", 2.5),
+    ("study-uniqueness", "uniqueness", "shift_axis", "0"),
+    ("solve-pde", "pde", "snapshot_times", [[0.05]]),
+    # times off the step grid (ibm.dt 0.05, pde.dt 0.005)
+    ("simulate-ibm", "ibm", "t_end", 0.23),
+    ("solve-pde", "pde", "t_end", 0.1003),
+    ("simulate-ibm", "ibm", "snapshot_times", [0.07]),
+    ("solve-pde", "pde", "snapshot_times", [0.0013]),
 ])
 def test_cli_config_value_errors_name_their_key(tmp_path, capsys, verb,
                                                 section, key, value):
@@ -740,6 +772,17 @@ def test_cli_config_value_errors_name_their_key(tmp_path, capsys, verb,
                      "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, "7"])
+def test_cli_seed_must_be_a_nonnegative_integer(tmp_path, capsys, seed):
+    cfg = base_cfg()
+    cfg["seed"] = seed
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["solve-pde", "--config", path,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "seed must" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("verb,section,key", [

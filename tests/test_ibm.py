@@ -330,15 +330,13 @@ def test_extra_snapshots_leave_the_final_state_unchanged(scheme):
 def test_snapshot_off_grid_rejected(scheme):
     m = builtin_model("constant-coefficients", 1, 1, sigma0=0.2)
     init = [InitialCondition(0.5, "gaussian")]
-    p = SimParams(t_end=1.0, dt=0.1, K=10, seed=0, snapshot_times=(0.333,),
-                  scheme=scheme)
     with pytest.raises(ValueError, match="not on the step grid"):
-        simulate(m, init, p)
+        simulate(m, init, SimParams(t_end=1.0, dt=0.1, K=10, seed=0,
+                                    snapshot_times=(0.333,), scheme=scheme))
     # an off-grid horizon, which would otherwise stop at t = 0.9
-    p = SimParams(t_end=1.0, dt=0.3, K=100, seed=1, snapshot_times=(0.6,),
-                  scheme=scheme)
     with pytest.raises(ValueError, match="t_end 1.0 is not on the step grid"):
-        simulate(m, init, p)
+        simulate(m, init, SimParams(t_end=1.0, dt=0.3, K=100, seed=1,
+                                    snapshot_times=(0.6,), scheme=scheme))
 
 
 @pytest.mark.parametrize("scheme", ["splitting", "thinned-events"])
