@@ -16,8 +16,8 @@ import yaml
 from .ibm import SimParams
 from .initial import InitialCondition
 from .kernels import KernelSpec, mollifier, tabulated_from_csv
-from .model import (CoefficientModel, ProbeSpec, builtin_model, bump_growth,
-                    constant_growth)
+from .model import (FAMILY_PARAMS, CoefficientModel, ProbeSpec, builtin_model,
+                    bump_growth, constant_growth)
 from .pde import SolverParams
 
 
@@ -52,11 +52,14 @@ _KEYS = {
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
+    """obj is a mapping whose keys are in allowed, else a ConfigError that
+    names each other key as where.key (key alone when where is empty)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(obj).__name__}")
-    extra = set(obj) - allowed
+    extra = sorted(f"{where}.{key}" if where else str(key)
+                   for key in set(obj) - allowed)
     if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)} "
+        raise ConfigError(f"unknown keys {', '.join(extra)} "
                           f"(allowed: {sorted(allowed)})")
 
 
@@ -105,7 +108,7 @@ def load_config(path: str) -> dict:
         cfg = yaml.safe_load(f)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    _check_keys(cfg, _SECTIONS, path)
+    _check_keys(cfg, _SECTIONS, "")
     if "seed" not in cfg:
         raise ConfigError("config must set an explicit top-level 'seed'")
     if "model" not in cfg or "initial" not in cfg:
@@ -156,13 +159,28 @@ def _kernel_matrix(spec, M: int, d: int, where: str):
     return [[k for _ in range(M)] for _ in range(M)]
 
 
+def _comp(mcfg: dict, M: int):
+    """model.comp, the local competition constants, as an M x M array of
+    numbers >= 0 read row by row, or None when absent."""
+    comp = mcfg.get("comp")
+    if comp is None:
+        return None
+    if not isinstance(comp, list) or len(comp) != M:
+        raise ConfigError(f"model.comp must be a list of {M} rows, "
+                          f"got {comp!r}")
+    rows = {f"comp[{i}]": row for i, row in enumerate(comp)}
+    return np.array([_numbers(rows, key, None, "model", float, 0.0, n=M)
+                     for key in rows])
+
+
 def mollified_C(cfg: dict, eps: float):
     """Competition kernel matrix c^{ij} * gamma_eps from the comp constants."""
     mcfg = cfg["model"]
     M, d = _number(mcfg, "M", None, "model", int, 1), _dim(cfg)
-    comp = np.asarray(mcfg.get("comp"), dtype=float)
-    if comp.shape != (M, M):
-        raise ConfigError("dirac study needs an M x M 'comp' matrix")
+    comp = _comp(mcfg, M)
+    if comp is None:
+        raise ConfigError("dirac study needs an M x M 'comp' matrix "
+                          "(model.comp)")
     fam = ((mcfg.get("kernels") or {}).get("gamma") or {}).get(
         "family", "gaussian")
     g_eps = mollifier(KernelSpec(fam, d), eps)     # checks gamma's family
@@ -204,27 +222,40 @@ def build_model(cfg: dict, C_kernels=None) -> CoefficientModel:
     H = _kernel_matrix(kcfg.get("H"), M, d, "model.kernels.H")
     C = C_kernels if C_kernels is not None else _kernel_matrix(
         kcfg.get("C"), M, d, "model.kernels.C")
-    comp = mcfg.get("comp")
-    comp = None if comp is None else np.asarray(comp, dtype=float)
 
     noise_scale = (math.sqrt(2.0) if mcfg.get("noise_scale", "sqrt2") ==
                    "sqrt2" else _number(mcfg, "noise_scale", None, "model"))
 
-    params = dict(mcfg.get("params") or {})
+    family = mcfg.get("family", "constant-coefficients")
+    if family not in FAMILY_PARAMS:
+        raise ConfigError(f"model.family must be one of "
+                          f"{sorted(FAMILY_PARAMS)}, got {family!r}")
+    pcfg = mcfg.get("params") or {}
+    _check_keys(pcfg, set(FAMILY_PARAMS[family]), "model.params")
+    params = {}
+    for key in pcfg:
+        # sigma = sqrt(psi_max S / (1 + S)) is real only for psi_max >= 0
+        lo = 0.0 if key == "psi_max" else None
+        params[key] = (
+            _numbers(pcfg, key, None, "model.params", float, lo, n=M)
+            if FAMILY_PARAMS[family][key] else
+            _number(pcfg, key, None, "model.params", float, lo))
     if "lipschitz_bound" in mcfg:
         params["lipschitz_bound"] = _number(mcfg, "lipschitz_bound", None,
                                             "model")
-    rbar = mcfg.get("rbar")
+    growth, rbar = mcfg.get("growth"), mcfg.get("rbar")
+    if growth is not None and "r" in mcfg:
+        raise ConfigError("model.r and model.growth both set the growth "
+                          "rates; give one of them")
     model = builtin_model(
-        mcfg.get("family", "constant-coefficients"), M, d, G=G, H=H, C=C,
-        comp=comp, r=_numbers(mcfg, "r", 0.0, "model", n=M),
+        family, M, d, G=G, H=H, C=C, comp=_comp(mcfg, M),
+        r=_numbers(mcfg, "r", 0.0, "model", n=M),
         rbar=None if rbar is None else _numbers(mcfg, "rbar", None, "model",
                                                 n=M),
         noise_scale=noise_scale, **params)
 
-    growth = mcfg.get("growth")
     if growth is not None:
-        if len(growth) != M:
+        if not isinstance(growth, list) or len(growth) != M:
             raise ConfigError("model.growth must list one entry per species")
         fns, bounds = zip(*[_growth_fn(g) for g in growth])
         model.growth_fns = list(fns)
@@ -237,10 +268,13 @@ def build_initial(cfg: dict) -> list:
     d = _dim(cfg)
     out = []
     for n, entry in enumerate(cfg["initial"]):
-        kw = dict(entry)
+        kw, where = dict(entry), f"initial[{n}]"
         for key in ("mass", "std", "halfwidth"):
             if key in kw or key == "mass":    # mass has no default
-                kw[key] = _number(entry, key, None, f"initial[{n}]")
+                kw[key] = _number(entry, key, None, where)
+        for key in ("mean", "lo", "hi", "center"):
+            if key in kw:
+                kw[key] = _numbers(entry, key, None, where, n=d)
         out.append(InitialCondition(dim=d, **kw))
     return out
 

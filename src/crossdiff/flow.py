@@ -16,7 +16,9 @@ driven by the time-reversed Brownian motion W_s = B_{t-s} - B_t.  The
 Jacobian solves the linear variational system and the determinant is
 integrated both from the Jacobian matrix and from its own scalar SDE
 (Stratonovich divergence form, integrated here in Ito form); the two
-routes must agree along paths.
+routes must agree along paths.  Every path to t takes
+n = pde.time_grid(dt, t) steps of t / n, the forward flow from time 0, so a
+t off the step grid of dt raises ValueError.
 
 The coefficients are those of a PDE solution, FrozenCoefficients.from_pde.
 The path functions read them only through its methods sigma_eff, drift,
@@ -48,7 +50,7 @@ import numpy as np
 from .grids import GridField
 from .kernels import CHUNK, KernelSpec, convolve_field, convolve_field_grid
 from .model import CoefficientModel
-from .pde import PDESolution
+from .pde import PDESolution, time_grid
 
 
 class FlowError(RuntimeError):
@@ -56,6 +58,9 @@ class FlowError(RuntimeError):
 
 
 # ---------------------------------------------------------------------
+
+# Most flow steps dt between PDE snapshots that a time blend may span.
+SNAPSHOT_STEPS = 10
 
 # Lattice step of the coefficient tables as a fraction of the kernel
 # bandwidth, for a spline error under 1e-5 of sup |k * u| on any field: on
@@ -210,11 +215,10 @@ class FrozenCoefficients:
     @classmethod
     def from_pde(cls, model: CoefficientModel,
                  solution: PDESolution) -> "FrozenCoefficients":
-        times = np.array([s.time for s in solution.snapshots])
-        if times.size < 1:
+        if not solution.snapshots:
             raise ValueError("PDE solution has no snapshots")
         fields = list(solution.snapshots)
-        coeffs = cls(model, times, fields, solution.params.mode)
+        coeffs = cls(model, solution.times, fields, solution.params.mode)
         C = model.C if coeffs.mode == "kernel" else None
         for kmat in (model.G, model.H, C):
             for row in kmat or []:
@@ -229,10 +233,10 @@ class FrozenCoefficients:
 
     def check_spacing(self, dt: float):
         spacing = float(np.max(np.diff(self.times), initial=0.0))
-        if spacing > 10.0 * dt + 1e-12:
+        if spacing > SNAPSHOT_STEPS * dt + 1e-12:
             raise ValueError(
-                f"snapshot spacing {spacing:g} exceeds 10 dt = "
-                f"{10 * dt:g}; store denser PDE snapshots")
+                f"snapshot spacing {spacing:g} exceeds {SNAPSHOT_STEPS} dt = "
+                f"{SNAPSHOT_STEPS * dt:g}; store denser PDE snapshots")
 
     def _time_weights(self, t: float) -> list:
         """(snapshot index, weight) pairs of the linear blend at time t."""
@@ -352,26 +356,21 @@ def _euler(coeffs, i, t, x, h, dW, what):
 
 # ---------------------------------------------------------------------
 
-def forward_flow(coeffs: FrozenCoefficients, i: int, s: float, t: float,
+def forward_flow(coeffs: FrozenCoefficients, i: int, t: float,
                  x0: np.ndarray, dt: float, rng: np.random.Generator = None,
                  increments: np.ndarray = None) -> np.ndarray:
-    """Euler-Maruyama X_{s,t}(x) for a batch of starting points: the
+    """Euler-Maruyama X_{0,t}(x) for a batch of starting points: the
     terminal positions, (n, d)."""
-    if t < s:
-        raise ValueError("need s <= t")
     coeffs.check_spacing(dt)
     x = np.array(x0, dtype=float, ndmin=2)
-    n, d = x.shape
-    m = max(1, int(round((t - s) / dt))) if t > s else 0
-    h = (t - s) / m if m else 0.0
+    m = time_grid(dt, t)[0]
+    h = t / m
     if increments is None:
-        if m and rng is None:
+        if rng is None:
             raise ValueError("need an rng or precomputed increments")
-        increments = (rng.standard_normal((m, n, d)) * math.sqrt(h)
-                      if m else np.zeros((0, n, d)))
+        increments = rng.standard_normal((m, *x.shape)) * math.sqrt(h)
     for k in range(m):
-        x = _euler(coeffs, i, s + (t - s) * k / m, x, h, increments[k],
-                   "forward flow")
+        x = _euler(coeffs, i, t * k / m, x, h, increments[k], "forward flow")
     return x
 
 
@@ -387,7 +386,7 @@ def inverse_flow(coeffs: FrozenCoefficients, i: int, t: float,
     coeffs.check_spacing(dt)
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n, d = y.shape
-    m = max(1, int(round(t / dt)))
+    m = time_grid(dt, t)[0]
     h = t / m
     times = np.arange(m + 1) * h
     h_fd = 1e-4 * coeffs.domain_scale()
@@ -469,8 +468,7 @@ def compose_inverse_forward(coeffs: FrozenCoefficients, i: int, t: float,
     # W_s = B_{t-s} - B_t  =>  forward increments are the negated,
     # time-reversed inverse-flow increments
     fwd_inc = -inv.increments[::-1]
-    fwd = forward_flow(coeffs, i, 0.0, t, inv.eta0, dt,
-                       increments=fwd_inc)
+    fwd = forward_flow(coeffs, i, t, inv.eta0, dt, increments=fwd_inc)
     y = np.atleast_2d(np.asarray(y, dtype=float))
     return np.sqrt(np.sum((fwd - y) ** 2, axis=1))
 
@@ -499,8 +497,7 @@ def feynman_kac_functional(coeffs: FrozenCoefficients, model: CoefficientModel,
     w = u0.values[i].ravel() * u0.cell_volume
     keep = w > 0
     pts, w = pts[keep], w[keep]
-    nc = pts.shape[0]
-    m = max(1, int(round(t / dt)))
+    m = time_grid(dt, t)[0]
     h = t / m
     x = np.repeat(pts, n_paths, axis=0)
     weights = w.repeat(n_paths) / n_paths
@@ -514,7 +511,7 @@ def feynman_kac_functional(coeffs: FrozenCoefficients, model: CoefficientModel,
         rate_prev = rate_new
     vals = np.asarray(phi(x), dtype=float).reshape(-1) * np.exp(logw)
     # replicate p = sum over initial cells with that path index
-    per_rep = (vals * weights * n_paths).reshape(nc, n_paths).sum(axis=0)
+    per_rep = (vals * weights * n_paths).reshape(-1, n_paths).sum(axis=0)
     mean = float(per_rep.mean())
     stderr = float(per_rep.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.inf
     return MonteCarloEstimate(mean, stderr, n_paths)
@@ -530,19 +527,15 @@ def density_estimate(coeffs: FrozenCoefficients, model: CoefficientModel,
     exp{int fk_rate along eta} * xi0(eta_{0,t}(y)) * det grad eta_{0,t}(y).
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    nq, d = y.shape
-    yy = np.repeat(y, n_paths, axis=0)
-    inv = inverse_flow(coeffs, i, t, yy, dt, rng)
-    m = inv.times.shape[0] - 1
-    h = t / m
-    # int_0^t fk_rate(i, r, eta_{r,t}) dr over the reversed clock
-    rates = np.empty((m + 1, yy.shape[0]))
-    for k in range(m + 1):
-        rates[k] = coeffs.fk_rate(i, t - inv.times[k], inv.paths[k])
-    integral = h * (0.5 * rates[0] + rates[1:-1].sum(axis=0) + 0.5 * rates[-1])
+    inv = inverse_flow(coeffs, i, t, np.repeat(y, n_paths, axis=0), dt, rng)
+    # int_0^t fk_rate(i, r, eta_{r,t}) dr, trapezoids on the reversed clock
+    rates = np.array([coeffs.fk_rate(i, t - s, z)
+                      for s, z in zip(inv.times, inv.paths)])
+    integral = inv.times[1] * (0.5 * rates[0] + rates[1:-1].sum(axis=0)
+                               + 0.5 * rates[-1])
     xi0 = np.asarray(density0(inv.eta0), dtype=float).reshape(-1)
     psi = np.exp(integral) * xi0 * inv.det_matrix[-1]
-    psi = psi.reshape(nq, n_paths)
+    psi = psi.reshape(-1, n_paths)
     vals = psi.mean(axis=1)
     errs = psi.std(axis=1, ddof=1) / math.sqrt(n_paths)
     return vals, errs

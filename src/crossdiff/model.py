@@ -148,15 +148,30 @@ def bump_growth(base: float, amp: float, center: float = 0.0,
     return fn
 
 
+# The params of each builtin family, True for a per-species one (one number
+# or a list of M numbers), False for one number.
+FAMILY_PARAMS = {
+    "constant-coefficients": {"sigma0": True, "drift0": False},
+    "isotropic-saturating": {"psi_max": True},
+    "attraction-drift": {"sigma0": True, "alpha": False},
+}
+
+
 def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
                   comp=None, r=0.0, rbar=None, noise_scale=SQRT2,
-                  **params) -> CoefficientModel:
-    """Instantiate a named coefficient family.
+                  lipschitz_bound=None, **params) -> CoefficientModel:
+    """Instantiate a named coefficient family with its FAMILY_PARAMS.
 
     Families: "constant-coefficients" (sigma0, drift0), "isotropic-saturating"
     (psi_max; a = I * psi_max * S/(1+S) with S the sum of the kernel-convolved
     densities), "attraction-drift" (sigma0, alpha; drift -alpha x / sqrt(1+|x|^2)).
+    lipschitz_bound declares L, by default the family's own.
     """
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown builtin family {family!r}")
+    extra = sorted(set(params) - set(FAMILY_PARAMS[family]))
+    if extra:
+        raise ValueError(f"family {family!r} takes no params {extra}")
     G = G if G is not None else _const_kernel_matrix(M, d)
     H = H if H is not None else _const_kernel_matrix(M, d)
     rates = _as_list(r, M)
@@ -182,20 +197,18 @@ def builtin_model(family: str, M: int, d: int, *, G=None, H=None, C=None,
         sigma_fns = [make_sigma(p) for p in psi]
         drift_fns = [lambda x, v: np.zeros((x.shape[0], d))] * M
         L = max(psi)     # slope of sqrt(psi s/(1+s)) blows up at s=0; see docs
-    elif family == "attraction-drift":
+    else:    # attraction-drift
         alpha = float(params.get("alpha", 1.0))
         def drift(x, v):
             nrm = np.sqrt(1.0 + np.sum(x * x, axis=1))
             return -alpha * x / nrm[:, None]
         drift_fns = [drift] * M
         L = alpha
-    else:
-        raise ValueError(f"unknown builtin family {family!r}")
 
     # every builtin drift ignores v, and so does every sigma but the saturating
     for fn in drift_fns + sigma_fns * (family != "isotropic-saturating"):
         density_free(fn)
-    L = float(params.get("lipschitz_bound", max(L, 1e-9)))
+    L = float(max(L, 1e-9) if lipschitz_bound is None else lipschitz_bound)
     return CoefficientModel(M, d, sigma_fns, drift_fns, growth_fns, bounds,
                             G, H, C=C, comp=comp, lipschitz_bound=L,
                             noise_scale=noise_scale)

@@ -21,7 +21,8 @@ from . import ibm, io, pde
 from .config import (ConfigError, _number, _numbers, build_initial,
                      build_model, grid_box, mollified_C, sim_params,
                      solver_params)
-from .flow import FrozenCoefficients, density_estimate, feynman_kac_functional
+from .flow import (SNAPSHOT_STEPS, FrozenCoefficients, density_estimate,
+                   feynman_kac_functional)
 from .grids import GridField
 from .initial import project_to_grid
 from .metrics import bl_distance_fields, rate_fit
@@ -194,6 +195,8 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
     linearly in epsilon for symmetric kernels.
     """
     eps_list = _numbers(cfg.get("pde") or {}, "eps", None, "pde")
+    if min(eps_list) <= 0.0:
+        raise ConfigError(f"pde.eps entries must be positive, got {eps_list}")
     u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
     h = _cache_key(cfg)
     # [sup distance, health of its kernel-mode and local-mode solves] per
@@ -241,22 +244,27 @@ def study_dirac(cfg: dict, out_dir: str, seed: int, workers: int = 1,
 def frozen_flow(cfg: dict, model, u0):
     """PDE solve behind the frozen flow of the `flow` and `study-flow` verbs.
 
-    The horizon flow.t lands on the PDE step grid, and snapshots are taken
-    every 10 flow steps flow.dt.  Returns (t, dt, solution, coefficients).
+    flow.t must be a whole number of steps pde.dt and of steps flow.dt.  A
+    snapshot every k = floor(SNAPSHOT_STEPS flow.dt / pde.dt) PDE steps and
+    at flow.t meets check_spacing.  Returns (t, dt, solution, coefficients).
     """
     fcfg = cfg.get("flow") or {}
     sp = solver_params(cfg)
-    t_cfg = _number(fcfg, "t", sp.t_end, "flow")
+    t = _number(fcfg, "t", sp.t_end, "flow")
     dt = _number(fcfg, "dt", 1e-3, "flow")
-    if not dt > 0.0:
-        raise ConfigError(f"flow.dt must be positive, got {dt:g}")
-    t = round(t_cfg / sp.dt) * sp.dt
-    if not t > 0.0:
-        raise ConfigError(f"flow.t must round to a positive multiple of "
-                          f"pde.dt = {sp.dt:g}, got {t_cfg:g}")
-    n_snap = max(2, int(math.ceil(t / (10.0 * dt))) + 1)
-    extra = np.round(np.linspace(0.0, t, n_snap) / sp.dt) * sp.dt
-    sp = replace(sp, t_end=t, snapshot_times=(*extra, t))
+    k = math.floor(SNAPSHOT_STEPS * dt / sp.dt)
+    if k < 1:
+        raise ConfigError(f"flow.dt must be at least pde.dt / {SNAPSHOT_STEPS}"
+                          f" = {sp.dt / SNAPSHOT_STEPS:g}, got {dt:g}")
+    try:
+        pde.time_grid(dt, t)
+        n = pde.time_grid(sp.dt, t)[0]
+    except ValueError:
+        raise ConfigError(f"flow.t must be a positive whole number of steps "
+                          f"pde.dt = {sp.dt:g} and of steps flow.dt = "
+                          f"{dt:g}, got {t:g}") from None
+    sp = replace(sp, t_end=t,
+                 snapshot_times=(*(np.arange(0, n, k) * sp.dt), t))
     sol = pde.solve(model, u0, sp)
     return t, dt, sol, FrozenCoefficients.from_pde(model, sol)
 

@@ -17,6 +17,7 @@ from crossdiff.config import (ConfigError, build_initial, build_model,
                               sim_params, solver_params)
 from crossdiff.grids import GridField
 from crossdiff.initial import InitialCondition, project_to_grid
+from crossdiff.model import FAMILY_PARAMS
 
 
 def base_cfg():
@@ -134,11 +135,18 @@ def test_readme_config_example_goes_through_every_reader(tmp_path):
     with open(os.path.join(os.path.dirname(__file__), os.pardir,
                            "README.md")) as f:
         text = f.read().split("## Configuration", 1)[1]
+    block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "cfg.yaml"
-    path.write_text(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+    path.write_text(block)
     cfg = load_config(str(path))
     model, init = build_model(cfg), build_initial(cfg)
     assert (model.M, model.d, len(init)) == (2, 1, 2)
+    assert model.lipschitz_bound == 1.0
+    assert [model.eval_growth(i, np.zeros((1, 1)))[0] for i in (0, 1)] == \
+        [pytest.approx(0.8), 1.0]
+    # the comments name every family and each of its params
+    for family, params in FAMILY_PARAMS.items():
+        assert all(name in block for name in (family, *params)), family
     assert grid_box(cfg)[2] == (128,)
     assert solver_params(cfg).snapshot_times == (0.0, 0.5, 1.0)
     for K in cfg["ibm"]["K"]:
@@ -302,9 +310,10 @@ def test_cli_usage_error_on_non_numeric_run_value(tmp_path, capsys, verb,
 def test_cli_usage_error_on_non_numeric_config_number(tmp_path, capsys, verb,
                                                       where, key):
     cfg = base_cfg()
-    if where == "model.growth":
+    if where == "model.growth":    # in place of model.r
         entry = {"kind": "constant" if key == "rate" else "bump"}
         cfg["model"]["growth"] = [entry]
+        del cfg["model"]["r"]
     elif where == "initial[0]":
         entry = cfg["initial"][0]
     else:
@@ -474,6 +483,7 @@ def test_cli_thinning_bound_violation_is_numerical_failure(tmp_path, capsys):
     # a bump growth above the declared rbar breaks the thinning bound
     cfg = base_cfg()
     cfg["model"]["growth"] = [{"kind": "bump", "base": 0.1, "amp": 1.0}]
+    del cfg["model"]["r"]
     cfg["ibm"].update({"scheme": "thinned-events", "t_end": 1.0})
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["simulate-ibm", "--config", path,
@@ -762,16 +772,62 @@ def test_cli_study_flow_rejects_fewer_than_two_paths(tmp_path, capsys,
     ("solve-pde", "pde", "t_end", 0.1003),
     ("simulate-ibm", "ibm", "snapshot_times", [0.07]),
     ("solve-pde", "pde", "snapshot_times", [0.0013]),
+    # flow.t (pde.t_end 0.1 for flow, 0.05 for study-flow) off the grid of
+    # flow.dt, and a flow.dt below pde.dt / 10 = 0.0005
+    ("flow", "flow", "dt", 0.003), ("study-flow", "flow", "dt", 0.003),
+    ("study-flow", "flow", "dt", 0.0004),
+    ("study-dirac", "pde", "eps", [0.1, -0.1]),
+    ("study-dirac", "pde", "eps", [0.1, 0.0]),
+    # vectors of numbers: M = 1 and dim = 1
+    *[("solve-pde", "model", "comp", v)
+      for v in ([[0.5, 0.5]], [[0.5], [0.5]], [[-0.5]], [["x"]])],
+    *[("solve-pde", "initial[0]", key, [1.0, 2.0])
+      for key in ("mean", "lo", "hi", "center")],
 ])
 def test_cli_config_value_errors_name_their_key(tmp_path, capsys, verb,
                                                 section, key, value):
     cfg = study_cfg(verb)
-    cfg.setdefault(section, {})[key] = value
+    spec = (cfg["initial"][0] if section == "initial[0]"
+            else cfg.setdefault(section, {}))
+    spec[key] = value
     path = write_cfg(tmp_path, cfg)
     assert cli.main([verb, "--config", path,
                      "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("model,names", [
+    ({"params": {"sigma": 0.3, "bogus": 7}},
+     ["model.params.bogus", "model.params.sigma"]),
+    ({"params": {"lipschitz_bound": 2.0}}, ["model.params.lipschitz_bound"]),
+    ({"family": "isotropic-saturating", "params": {"sigma0": 0.3}},
+     ["model.params.sigma0"]),
+    ({"family": "attraction-drift", "params": {"alpha": True}},
+     ["model.params.alpha"]),
+    ({"family": "isotropic-saturating", "params": {"psi_max": -1}},
+     ["model.params.psi_max"]),
+    ({"params": {"sigma0": [0.3]}}, ["model.params.sigma0"]),
+    ({"params": {"drift0": [0.1, 0.1]}}, ["model.params.drift0"]),
+    ({"family": "no-such-family"}, ["model.family"]),
+    ({"growth": [{"kind": "constant", "rate": 0.2}] * 2},
+     ["model.r", "model.growth"]),
+    ({"comp": [[1.0, 0.5], [0.5]]}, ["model.comp[1]"]),
+])
+def test_cli_model_errors_name_their_keys(tmp_path, capsys, model, names):
+    # two species, so a per-species parameter of one entry has the wrong
+    # length; each family takes only its own params, and the growth rates
+    # come from model.r or model.growth, not both
+    cfg = base_cfg()
+    cfg["model"].update({"M": 2, "r": [0.2, 0.2], "rbar": [1.0, 1.0],
+                         "comp": [[0.5, 0.2], [0.2, 0.5]]})
+    cfg["model"].update(model)
+    cfg["initial"] *= 2
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["solve-pde", "--config", path,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "7"])
@@ -817,13 +873,14 @@ def test_cli_flow_rejects_zero_paths_before_solving(tmp_path, capsys,
     assert "flow.n_paths must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t", [0.001, -0.5])
+@pytest.mark.parametrize("t", [0.001, -0.5, 0.0501])
 @pytest.mark.parametrize("verb,table", [("flow", "flow_diagnostics.csv"),
                                         ("study-flow", "flow_density.csv")])
 def test_cli_flow_horizon_off_the_step_grid_names_its_keys(tmp_path, capsys,
                                                            verb, table, t):
-    # with pde.dt = 0.005, flow.t = 0.001 rounds to a zero horizon and
-    # -0.5 to a negative one: neither may run on the initial data
+    # with pde.dt = 0.005, flow.t must be a positive whole number of steps:
+    # 0.001 would round to a zero horizon, -0.5 is negative, and 0.0501
+    # would run to 0.05
     cfg = study_cfg("study-flow")
     cfg["flow"]["t"] = t
     path = write_cfg(tmp_path, cfg)
@@ -832,6 +889,23 @@ def test_cli_flow_horizon_off_the_step_grid_names_its_keys(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "flow.t" in err and "pde.dt" in err and "Traceback" not in err
     assert not (tmp_path / "o" / table).exists()
+
+
+@pytest.mark.parametrize("verb,table", [("flow", "flow_diagnostics.csv"),
+                                        ("study-flow", "flow_density.csv")])
+def test_cli_flow_runs_on_a_snapshot_plan_within_ten_flow_steps(
+        tmp_path, capsys, verb, table):
+    # flow.t = 0.06 is 20 steps pde.dt = 0.003 and 30 steps flow.dt = 0.002;
+    # snapshots every 6 PDE steps lie 0.018 apart, within 10 flow.dt
+    cfg = study_cfg("study-flow")
+    cfg["pde"].update({"dt": 0.003, "t_end": 0.06,
+                       "snapshot_times": [0.0, 0.06]})
+    cfg["flow"].update({"t": 0.06, "dt": 0.002})
+    path = write_cfg(tmp_path, cfg)
+    code = cli.main([verb, "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_OK, err
+    assert (tmp_path / "o" / table).exists()
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01])

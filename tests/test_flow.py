@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from _coefficients import CallableCoefficients, synthetic_coeffs
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crossdiff import flow, kernels
 from crossdiff.config import (build_initial, build_model, grid_box,
@@ -35,23 +37,34 @@ def const_coeffs(sigma=0.3, drift=0.1, rate=0.0, noise_scale=1.0, d=1,
 
 def test_forward_deterministic_translation():
     c = const_coeffs(sigma=0.0, drift=0.4)
-    out = forward_flow(c, 0, 0.0, 1.0, [[0.0], [2.0]], dt=0.01,
+    out = forward_flow(c, 0, 1.0, [[0.0], [2.0]], dt=0.01,
                        rng=np.random.default_rng(0))
     np.testing.assert_allclose(out, [[0.4], [2.4]], atol=1e-12)
 
 
-def test_forward_zero_duration_is_identity():
-    c = const_coeffs()
-    out = forward_flow(c, 0, 0.5, 0.5, [[1.0]], dt=0.01,
-                       rng=np.random.default_rng(0))
-    np.testing.assert_allclose(out, [[1.0]])
+@pytest.mark.parametrize("t,dt", [(0.0501, 0.002), (0.05, 0.003),
+                                  (0.0, 0.01), (-0.5, 0.01)])
+def test_path_functions_refuse_a_horizon_off_the_step_grid(t, dt):
+    # every path takes pde.time_grid's n steps of t / n: none stretches its
+    # step to reach an off-grid t, and none runs a zero or negative horizon
+    u0 = project_to_grid([InitialCondition(1.0, "gaussian")], [-3.0], [3.0],
+                         [16])
+    c = const_coeffs(fields=[u0])
+    rng = np.random.default_rng(0)
+    for run in (lambda: forward_flow(c, 0, t, [[0.0]], dt, rng),
+                lambda: inverse_flow(c, 0, t, [[0.0]], dt, rng),
+                lambda: feynman_kac_functional(
+                    c, c.model, lambda x: np.ones(x.shape[0]), 0, t, 4, dt,
+                    rng)):
+        with pytest.raises(ValueError, match=f"t_end {t}"):
+            run()
 
 
 def test_forward_variance_noise_convention():
     # Var X_t = noise_scale^2 sigma^2 t; default sqrt(2) doubles it
     sigma, t, n = 0.5, 0.5, 20_000
     c = const_coeffs(sigma=sigma, drift=0.0, noise_scale=math.sqrt(2.0))
-    out = forward_flow(c, 0, 0.0, t, np.zeros((n, 1)), dt=0.01,
+    out = forward_flow(c, 0, t, np.zeros((n, 1)), dt=0.01,
                        rng=np.random.default_rng(1))
     assert out.var() == pytest.approx(2 * sigma ** 2 * t, rel=0.03)
 
@@ -279,7 +292,7 @@ def test_from_pde_spacing_check():
     c = FrozenCoefficients.from_pde(m, sol)
     rng = np.random.default_rng(0)
     # every path function refuses snapshots more than 10 dt apart
-    for run in (lambda: forward_flow(c, 0, 0.0, 0.5, [[0.0]], 0.005, rng),
+    for run in (lambda: forward_flow(c, 0, 0.5, [[0.0]], 0.005, rng),
                 lambda: inverse_flow(c, 0, 0.5, [[0.0]], 0.005, rng),
                 lambda: feynman_kac_functional(
                     c, m, lambda x: np.ones(x.shape[0]), 0, 0.5, 4, 0.005,
@@ -287,8 +300,30 @@ def test_from_pde_spacing_check():
         with pytest.raises(ValueError, match="snapshot spacing 0.25 exceeds"):
             run()
     # dt large enough that snapshots are within 10 dt is accepted
-    forward_flow(c, 0, 0.0, 0.5, [[0.0]], dt=0.025,
+    forward_flow(c, 0, 0.5, [[0.0]], dt=0.025,
                  rng=np.random.default_rng(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 4),
+       st.sampled_from([1e-3, 2.5e-3, 0.01]))
+def test_frozen_flow_snapshot_plan_meets_the_spacing_rule(p, q, c, unit):
+    # every on-grid (flow.t, flow.dt, pde.dt) with pde.dt <= 10 flow.dt: the
+    # snapshots run from 0 to flow.t, and check_spacing accepts them
+    assume(p <= 10 * q)
+    pde_dt, flow_dt, t = p * unit, q * unit, c * math.lcm(p, q) * unit
+    cfg = {"seed": 1,
+           "model": {"M": 1, "dim": 1, "params": {"sigma0": 0.3}},
+           "initial": [{"mass": 1.0, "kind": "gaussian"}],
+           "pde": {"lo": -5.0, "hi": 5.0, "cells": 8, "dt": pde_dt,
+                   "t_end": t},
+           "flow": {"t": t, "dt": flow_dt}}
+    m = build_model(cfg)
+    u0 = project_to_grid(build_initial(cfg), *grid_box(cfg))
+    t_run, dt, sol, coeffs = frozen_flow(cfg, m, u0)
+    assert (t_run, dt) == (t, flow_dt)
+    assert sol.times[0] == 0.0 and sol.times[-1] == pytest.approx(t)
+    coeffs.check_spacing(flow_dt)
 
 
 @pytest.mark.parametrize("mode,with_C", [("kernel", False), ("local", False),
@@ -323,7 +358,7 @@ def test_forward_flow_guard_raises_on_blowup():
         sigma_fn=lambda i, t, X: np.zeros((X.shape[0], 1, 1)),
         drift_fn=lambda i, t, X: X ** 3)
     with pytest.raises(FlowError):
-        forward_flow(c, 0, 0.0, 5.0, [[4.0]], dt=0.05,
+        forward_flow(c, 0, 5.0, [[4.0]], dt=0.05,
                      rng=np.random.default_rng(0))
 
 

@@ -499,15 +499,17 @@ def test_cfl_nan_rate_raises():
         step(u0, 0.001, pde._plan(u0, m, "kernel"))
 
 
-def test_cli_nan_diffusion_exits_numerical_and_fails_validation(tmp_path,
-                                                                capsys):
+def test_cli_nan_diffusion_exits_numerical_and_fails_validation(
+        tmp_path, capsys, monkeypatch):
     # psi_max < 0 makes sigma the root of a negative number, NaN wherever
-    # the density is positive
+    # the density is positive; a config refuses it (model.params.psi_max),
+    # so the model comes from the library
+    k = KernelSpec("gaussian", 1, bandwidth=0.5)
+    model = builtin_model("isotropic-saturating", 1, 1, G=[[k]],
+                          psi_max=-0.25)
+    monkeypatch.setattr(cli, "build_model", lambda cfg: model)
     cfg = {"seed": 7,
-           "model": {"M": 1, "dim": 1, "family": "isotropic-saturating",
-                     "params": {"psi_max": -0.25},
-                     "kernels": {"G": {"family": "gaussian",
-                                       "bandwidth": 0.5}}},
+           "model": {"M": 1, "dim": 1},
            "initial": [{"mass": 0.5, "kind": "gaussian", "std": 0.6}],
            "pde": {"lo": -5.0, "hi": 5.0, "cells": 64, "dt": 0.002,
                    "t_end": 0.1}}
